@@ -8,7 +8,6 @@ vacuously and membership tests reduce to comparing (sign, exponent) pairs.
 from __future__ import annotations
 
 from .center import separation_classes
-from .contentfn import signature, signature_equal
 from .errors import LevelMismatch, RegimeMismatch
 from .partitions import Partition, intersection, skew_datum
 from .scalars import ADD, Content, Regime, content_value

@@ -8,10 +8,13 @@ and constructive unitriangular separating families.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from .contentfn import drunk_content_values, signature
-from .errors import ResourceLimit
+from .errors import ResourceLimit, ZeroDenominator
 from .scalars import LaurentQT, Regime, expand_W_series
 from .tableaux import enumerate_lambda
 
@@ -46,11 +49,7 @@ def separation_classes(n, r: Regime) -> SeparationReport:
         groups.setdefault(sig, []).append(lp)
     classes = sorted((sorted(g, key=lambda lp: lp.sort_key()) for g in groups.values()),
                      key=lambda c: c[0].sort_key())
-    witnesses = []
-    for c in classes:
-        for i in range(len(c)):
-            for j in range(i + 1, len(c)):
-                witnesses.append((c[i], c[j]))
+    witnesses = [pair for c in classes for pair in combinations(c, 2)]
     return SeparationReport(n, r, classes, witnesses)
 
 
@@ -78,10 +77,10 @@ def theorem1_predicate(n, r: Regime) -> bool:
 
 
 def _shifted(p: LaurentQT):
-    qs = [a for a, _ in p.terms]
-    ts = [b for _, b in p.terms]
-    q0, t0 = min(qs), min(ts)
-    return {(a - q0, b - t0): c for (a, b), c in p.terms.items()}
+    """Lowest (q, t) exponents of p, and the terms of p divided by them."""
+    q0 = min(a for a, _ in p.terms)
+    t0 = min(b for _, b in p.terms)
+    return (q0, t0), {(a - q0, b - t0): c for (a, b), c in p.terms.items()}
 
 
 def divexact(a: LaurentQT, b: LaurentQT):
@@ -93,12 +92,8 @@ def divexact(a: LaurentQT, b: LaurentQT):
     if b.is_monomial():
         return a * b.monomial_inverse()
     # normalize away the Laurent shifts, remembering the net monomial
-    qa = min(x for x, _ in a.terms)
-    ta = min(y for _, y in a.terms)
-    qb = min(x for x, _ in b.terms)
-    tb = min(y for _, y in b.terms)
-    ra = _shifted(a)
-    rb = _shifted(b)
+    (qa, ta), ra = _shifted(a)
+    (qb, tb), rb = _shifted(b)
     lb = max(rb)
     cb = rb[lb]
     quot = {}
@@ -121,66 +116,83 @@ def divexact(a: LaurentQT, b: LaurentQT):
     return out
 
 
-def bareiss_rank(matrix, early_stop=None):
-    """Rank of a LaurentQT matrix by fraction-free elimination.
+def _exact_quotient(a, b):
+    q = divexact(a, b)
+    if q is None:
+        raise ZeroDenominator("Bareiss step: %s does not divide %s" % (b, a))
+    return q
 
-    Full pivoting with the sparsest available pivot; intermediate entries
-    stay polynomial because each elimination step divides exactly by the
-    previous pivot.
+
+def _eliminate(m, quotient, weight):
+    """Fraction-free forward elimination of the rows of m, in place.
+
+    Walks the columns left to right with row swaps only.  In each column
+    the pivot is the nonzero entry of least weight at or below the current
+    row (the first on ties); a column without one is skipped.  Every update
+    divides by the previous pivot, which Sylvester's identity makes exact
+    (Bareiss 1968), so entries stay in the ring.  Entries below a pivot are
+    left as they were and never read again.  Returns the pivot columns.
     """
-    m = [list(row) for row in matrix]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = LaurentQT.const(1)
-    rank = 0
-    while rank < min(nrows, ncols):
-        best = None
-        for i in range(rank, nrows):
-            for j in range(rank, ncols):
-                if not m[i][j].is_zero:
-                    if best is None or len(m[i][j].terms) < len(m[best[0]][best[1]].terms):
-                        best = (i, j)
-        if best is None:
+    pivots = []
+    prev = None
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
             break
-        bi, bj = best
-        m[rank], m[bi] = m[bi], m[rank]
-        if bj != rank:
-            for row in m:
-                row[rank], row[bj] = row[bj], row[rank]
-        piv = m[rank][rank]
-        for i in range(rank + 1, nrows):
-            for j in range(rank + 1, ncols):
-                num = piv * m[i][j] - m[i][rank] * m[rank][j]
-                m[i][j] = divexact(num, prev)
-            m[i][rank] = LaurentQT()
+        live = [i for i in range(r, nrows) if m[i][c]]
+        if not live:
+            continue
+        best = min(live, key=lambda i: weight(m[i][c]))
+        m[r], m[best] = m[best], m[r]
+        top = m[r]
+        piv = top[c]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            lead = row[c]
+            for j in range(c + 1, ncols):
+                v = piv * row[j] - lead * top[j]
+                row[j] = v if prev is None else quotient(v, prev)
         prev = piv
-        rank += 1
-        if early_stop is not None and rank >= early_stop:
-            break
-    return rank
+        pivots.append(c)
+    return pivots
 
 
-def _specialized_rank(matrix, qv, tv):
-    """Rank after the substitution q -> qv, t -> tv (a lower bound)."""
+def _terms(p):
+    return len(p.terms)
+
+
+def bareiss_rank(matrix):
+    """Rank of a LaurentQT matrix by fraction-free elimination."""
+    return len(_eliminate([list(row) for row in matrix], _exact_quotient, _terms))
+
+
+# evaluation points for the specialized computations, tried in this order
+_POINTS = ((Fraction(17, 5), Fraction(23, 7)),
+           (Fraction(29, 11), Fraction(31, 13)),
+           (Fraction(41, 3), Fraction(43, 19)))
+
+
+def _specialize(matrix, point=_POINTS[0]):
+    """Rows of matrix at q, t = point, each scaled to integers.
+
+    Scaling a row by a nonzero constant changes neither the rank nor which
+    rows are independent.
+    """
+    qv, tv = point
     rows = []
     for row in matrix:
-        rows.append([sum((c * qv ** a * tv ** b for (a, b), c in p.terms.items()),
-                         Fraction(0)) for p in row])
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            if rows[i][col]:
-                f = rows[i][col] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        vals = [sum((c * qv ** a * tv ** b for (a, b), c in p.terms.items()),
+                    Fraction(0)) for p in row]
+        scale = lcm(*(v.denominator for v in vals))
+        rows.append([v.numerator * (scale // v.denominator) for v in vals])
+    return rows
+
+
+def _specialized_rank(matrix):
+    """Rank at the first evaluation point (a lower bound)."""
+    return len(_eliminate(_specialize(matrix), operator.floordiv, abs))
 
 
 def matrix_rank(matrix):
@@ -189,21 +201,14 @@ def matrix_rank(matrix):
     A random rational specialization gives a certified answer whenever it
     already has full column rank; otherwise fall back to exact elimination.
     """
-    if not matrix or not matrix[0]:
-        return 0
-    ncols = len(matrix[0])
-    low = _specialized_rank(matrix, Fraction(17, 5), Fraction(23, 7))
-    if low == ncols:
-        return low
+    ncols = len(matrix[0]) if matrix else 0
+    if _specialized_rank(matrix) == ncols:
+        return ncols
     return bareiss_rank(matrix)
 
 
 # ---------------------------------------------------------------------------
 # evaluation matrices and separating families
-
-
-def degree_cap(n):
-    return 4 * len(enumerate_lambda(n))
 
 
 def evaluation_matrix(n, r: Regime, K, shapes=None):
@@ -213,11 +218,12 @@ def evaluation_matrix(n, r: Regime, K, shapes=None):
     T^k coefficients of the expanded W series and e_n is the product of the
     drunk contents.  Returns the matrix together with its exact rank.
     """
-    if K > degree_cap(n):
-        raise ResourceLimit("order %d exceeds cap %d at level %d"
-                            % (K, degree_cap(n), n))
+    level = enumerate_lambda(n)
+    cap = 4 * len(level)
+    if K > cap:
+        raise ResourceLimit("order %d exceeds cap %d at level %d" % (K, cap, n))
     if shapes is None:
-        shapes = enumerate_lambda(n)
+        shapes = level
     matrix = _build_matrix(n, r, K, shapes)
     return matrix, matrix_rank(matrix)
 
@@ -248,17 +254,20 @@ def adaptive_matrix(n, r: Regime, shapes=None):
     While growing, only the cheap specialized lower bound is tracked; the
     exact rank is computed once on the final matrix.
     """
+    level = enumerate_lambda(n)
+    cap = 4 * len(level)
     if shapes is None:
-        shapes = enumerate_lambda(n)
+        shapes = level
     K = max(n, 1)
     prev_probe = -1
     while True:
         matrix = _build_matrix(n, r, K, shapes)
-        probe = _specialized_rank(matrix, Fraction(17, 5), Fraction(23, 7))
-        if probe == len(shapes) or probe == prev_probe or K >= degree_cap(n):
+        # the probe fixes K, which is part of the output: first point only
+        probe = _specialized_rank(matrix)
+        if probe == len(shapes) or probe == prev_probe or K >= cap:
             return matrix, matrix_rank(matrix), K
         prev_probe = probe
-        K = min(2 * K, degree_cap(n))
+        K = min(2 * K, cap)
 
 
 class LaurentFrac:
@@ -338,17 +347,8 @@ def separating_family(n, r: Regime):
     aug = [[matrix[rows[i]][j] for j in range(m)]
            + [LaurentQT.const(1 if i == k else 0) for k in range(m)]
            for i in range(m)]
-    prev = LaurentQT.const(1)
-    for r in range(m):
-        swap = min((i for i in range(r, m) if not aug[i][r].is_zero),
-                   key=lambda i: len(aug[i][r].terms))
-        aug[r], aug[swap] = aug[swap], aug[r]
-        piv = aug[r][r]
-        for i in range(r + 1, m):
-            for j in range(r + 1, 2 * m):
-                aug[i][j] = divexact(piv * aug[i][j] - aug[i][r] * aug[r][j], prev)
-            aug[i][r] = LaurentQT()
-        prev = piv
+    if _eliminate(aug, _exact_quotient, _terms) != list(range(m)):
+        raise ZeroDenominator("selected rows are not independent")
     zero = LaurentFrac.const(0)
     family = []
     for i in range(m):
@@ -360,29 +360,15 @@ def separating_family(n, r: Regime):
 
 
 def _independent_rows(matrix, m):
-    """Indices of m rows whose square submatrix is invertible.
+    """Indices of the first m independent rows of matrix.
 
-    Selected on a rational specialization; an invertible specialized
-    submatrix certifies symbolic invertibility.
+    These are the lexicographically first basis, selected on rational
+    specializations tried in turn; an invertible specialized submatrix
+    certifies symbolic invertibility.
     """
-    qv, tv = Fraction(17, 5), Fraction(23, 7)
-    rows = []
-    for row in matrix:
-        rows.append([sum((c * qv ** a * tv ** b for (a, b), c in p.terms.items()),
-                         Fraction(0)) for p in row])
-    chosen = []
-    work = []
-    for idx, row in enumerate(rows):
-        cand = list(row)
-        for lead, other in work:
-            if cand[lead]:
-                f = cand[lead] / other[lead]
-                cand = [x - f * y for x, y in zip(cand, other)]
-        lead = next((j for j, x in enumerate(cand) if x), None)
-        if lead is None:
-            continue
-        work.append((lead, cand))
-        chosen.append(idx)
-        if len(chosen) == m:
-            return chosen
+    for point in _POINTS:
+        cols = [list(col) for col in zip(*_specialize(matrix, point))]
+        chosen = _eliminate(cols, operator.floordiv, abs)
+        if len(chosen) >= m:
+            return chosen[:m]
     raise ResourceLimit("specialization failed to certify %d rows" % m)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import string
 import sys
 
@@ -18,10 +19,8 @@ from . import idempotents as idem_mod
 from . import tableaux
 from . import wheelpoly
 from .errors import BmwError
-from .partitions import (Partition, diagonal_datum, partition_from_text,
-                         text_of_partition)
-from .scalars import GENERIC, Regime, content_value, regime_from_text
-from .scalars import Content, ADD
+from .partitions import partition_from_text, text_of_partition
+from .scalars import ADD, content_value, regime_from_text
 
 
 def _lp_json(lp):
@@ -99,18 +98,15 @@ def cmd_signature(args, out):
     return 0
 
 
-def _pair_letters(lam, pairs):
+def _pair_letters(pairs):
     """Letter per pairing orbit, keyed by diagonal."""
-    letters = {}
     orbit = {}
     for i in sorted(pairs.paired, reverse=True):
         if i in orbit:
             continue
-        mates = pairs.mates.get(i, ())
-        label = string.ascii_lowercase[len(letters) % 26]
-        letters[label] = True
+        label = string.ascii_lowercase[len(set(orbit.values())) % 26]
         orbit[i] = label
-        for j in mates:
+        for j in pairs.mates.get(i, ()):
             orbit.setdefault(j, label)
     return orbit
 
@@ -123,7 +119,7 @@ def cmd_pairs(args, out):
                      "paired": sorted(pairs.paired)})
         return 0
     out("P = %s" % pairs)
-    orbit = _pair_letters(args.shape, pairs)
+    orbit = _pair_letters(pairs)
     for i, p in enumerate(args.shape.parts, start=1):
         cells = []
         for j in range(1, p + 1):
@@ -237,7 +233,7 @@ def cmd_verify_blocks(args, out):
 
 
 def cmd_idempotent(args, out):
-    diag = idem_mod.spectral_idempotent(args.n, args.shape)
+    diag = idem_mod.spectral_idempotent(args.n, args.shape, args.regime)
     sel = diag.selected()
     ok = (len(sel) == 1 and sel[0] == tableaux.drunk_path(args.n, args.shape))
     if args.format == "json":
@@ -291,16 +287,8 @@ def _check_shape(n, lp, regime):
 
 def cmd_selfcheck(args, out):
     n = args.n
-    failures = []
-    lps = tableaux.enumerate_lambda(n)
-    if args.parallel:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_check_shape, [n] * len(lps), lps,
-                                    [args.regime] * len(lps)))
-    else:
-        results = [_check_shape(n, lp, args.regime) for lp in lps]
-    failures.extend(r for r in results if r)
+    failures = [f for f in (_check_shape(n, lp, args.regime)
+                            for lp in tableaux.enumerate_lambda(n)) if f]
 
     expected = 1
     for k in range(1, n + 1):
@@ -352,13 +340,10 @@ def build_parser():
         p.add_argument("--t", default="generic",
                        help='regime: "generic", "q^N", "-q^N" or "1"')
         p.add_argument("--shape", help='partition, e.g. "4,2,2" ("0" for empty)')
-        p.add_argument("--shape2")
-        p.add_argument("--defect", type=int)
         p.add_argument("--order", type=int,
                        default=4 if name == "wheel" else None)
-        p.add_argument("--format", choices=("text", "json", "dot"),
-                       default="text")
-        p.add_argument("--parallel", action="store_true")
+        formats = ("text", "json", "dot") if name == "graph" else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text")
     return parser
 
 
@@ -377,14 +362,14 @@ def run(argv):
         else:
             merged.append(tok)
     args = parser.parse_args(merged)
+    if args.n < 0:
+        parser.error("--n must be non-negative")
     try:
         args.regime = regime_from_text(args.t)
         if args.command in NEEDS_SHAPE:
             if args.shape is None:
                 parser.error("--shape is required for %s" % args.command)
             args.shape = partition_from_text(args.shape)
-        if args.shape2 is not None:
-            args.shape2 = partition_from_text(args.shape2)
     except ValueError as exc:
         parser.error(str(exc))
     try:
@@ -395,7 +380,15 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`); point stdout at
+        # devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

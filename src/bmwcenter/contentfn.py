@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .errors import RegimeMismatch, ShapeLevelMismatch
+from .errors import RegimeMismatch
 from .partitions import Partition, diagonal_datum, skew_datum
-from .scalars import (ADD, Content, ContentValue, Regime, content_value,
-                      expand_W_series)
-from .tableaux import drunk_path, content_sequence, labeled
+from .scalars import ADD, Content, Regime, content_value, expand_W_series
+from .tableaux import labeled
 from .wheelpoly import elementary_wheel, evaluate
 
 

@@ -30,4 +30,4 @@ class ResourceLimit(BmwError):
 
 
 class ZeroDenominator(BmwError):
-    """Raised when an interpolation denominator vanishes (internal assertion)."""
+    """Raised when an internal exact division or interpolation fails."""

@@ -8,6 +8,7 @@ entries differ by a single box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import ShapeLevelMismatch
 from .partitions import (EMPTY, Partition, boundary_boxes, dominance,
@@ -94,19 +95,19 @@ class UpDownTableau:
         return "UpDownTableau(%s)" % " -> ".join(text_of_partition(s) for s in self.steps)
 
 
+def _moved_box(a: Partition, b: Partition) -> Step:
+    """Direction and diagonal of the box moved between adjacent shapes a, b.
+
+    The box sits in the first row where the shapes differ.
+    """
+    for i, (x, y) in enumerate(zip_longest(a.parts, b.parts, fillvalue=0), start=1):
+        if x != y:
+            return Step(ADD, y - i) if y > x else Step(REMOVE, x - i)
+
+
 def step_sequence(tab: UpDownTableau):
     """Per-step direction and diagonal of the moved box."""
-    out = []
-    for a, b in zip(tab.steps, tab.steps[1:]):
-        if b.size > a.size:
-            direction, small, big = ADD, a, b
-        else:
-            direction, small, big = REMOVE, b, a
-        for i in range(1, len(big.parts) + 1):
-            if big.row(i) != small.row(i):
-                out.append(Step(direction, big.row(i) - i))
-                break
-    return out
+    return [_moved_box(a, b) for a, b in zip(tab.steps, tab.steps[1:])]
 
 
 def content_sequence(tab: UpDownTableau):
@@ -235,15 +236,7 @@ def branching_graph(n, regime: Regime):
         for shape in levels[k - 1]:
             for child in _moves(shape):
                 seen.add(child)
-                if child.size > shape.size:
-                    direction, small, big = ADD, shape, child
-                else:
-                    direction, small, big = REMOVE, child, shape
-                for i in range(1, len(big.parts) + 1):
-                    if big.row(i) != small.row(i):
-                        diag = big.row(i) - i
-                        break
-                value = content_value(Content(direction, diag), regime)
+                value = content_value(_moved_box(shape, child).content(), regime)
                 edges.append((k, shape, child, value))
         levels.append(sorted(seen))
     return levels, edges

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from bmwcenter import center
 from bmwcenter.center import (LaurentFrac, adaptive_matrix, bareiss_rank,
                               divexact, evaluation_matrix, matrix_rank,
                               matrix_row_labels, separating_family,
                               separation_classes, theorem1_predicate)
-from bmwcenter.errors import ResourceLimit
+from bmwcenter.errors import ResourceLimit, ZeroDenominator
 from bmwcenter.blocks import is_semisimple
 from bmwcenter.scalars import GENERIC, LaurentQT, power_regime
 from bmwcenter.tableaux import enumerate_lambda
@@ -120,8 +121,7 @@ def test_bareiss_rank_on_random_matrices():
         cols = rng.randint(1, 4)
         m = [[random_poly(rng, nterms=2, span=2) for _ in range(cols)]
              for _ in range(rows)]
-        assert bareiss_rank(m) >= specialized_rank_oracle(m)
-        assert bareiss_rank(m) <= min(rows, cols)
+        assert bareiss_rank(m) == specialized_rank_oracle(m)
 
 
 def test_bareiss_rank_known_cases():
@@ -131,6 +131,106 @@ def test_bareiss_rank_known_cases():
     assert bareiss_rank([[one, q], [q, q * q]]) == 1
     assert bareiss_rank([[one, zero], [zero, q]]) == 2
     assert bareiss_rank([]) == 0
+
+
+def random_combination(rng, rows):
+    out = [LaurentQT() for _ in rows[0]]
+    for row in rows:
+        c = random_poly(rng, nterms=2, span=1)
+        out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+def test_bareiss_rank_of_row_combinations():
+    rng = random.Random(23)
+    for _ in range(10):
+        rank = rng.randint(1, 3)
+        cols = rng.randint(rank, 5)
+        basis = [[random_poly(rng, nterms=2, span=2) for _ in range(cols)]
+                 for _ in range(rank)]
+        m = basis + [random_combination(rng, basis)
+                     for _ in range(rng.randint(1, 3))]
+        rng.shuffle(m)
+        assert bareiss_rank(m) == specialized_rank_oracle(m) == rank
+
+
+def test_elimination_skips_a_column_without_pivot():
+    one = LaurentQT.const(1)
+    q = LaurentQT.monomial(1)
+    # after the first pivot the middle column is zero below row 0
+    m = [[one, q, one], [q, q * q, one + q]]
+    assert center._eliminate([list(r) for r in m], center._exact_quotient,
+                             center._terms) == [0, 2]
+    assert bareiss_rank(m) == 2
+    assert matrix_rank(m) == 2
+
+
+def test_elimination_pivots_on_the_sparsest_entry_first_on_ties():
+    one = LaurentQT.const(1)
+    q = LaurentQT.monomial(1)
+    t = LaurentQT.monomial(0, 1)
+    dense, first, second = [one + q, one], [q, one], [t, q]
+    m = [dense, first, second]
+    assert center._eliminate(m, center._exact_quotient, center._terms) == [0, 1]
+    assert m[0] is first
+
+
+def test_inexact_quotient_raises():
+    q = LaurentQT.monomial(1)
+    one = LaurentQT.const(1)
+    assert divexact(q + one + one, q + one) is None
+    with pytest.raises(ZeroDenominator):
+        center._exact_quotient(q + one + one, q + one)
+
+
+def greedy_rows_oracle(matrix, m):
+    """The first m independent rows at q, t = 17/5, 23/7, one row at a time."""
+    qv, tv = Fraction(17, 5), Fraction(23, 7)
+    rows = [[sum((c * qv ** a * tv ** b for (a, b), c in p.terms.items()),
+                 Fraction(0)) for p in row] for row in matrix]
+    chosen = []
+    work = []
+    for idx, row in enumerate(rows):
+        cand = list(row)
+        for lead, other in work:
+            if cand[lead]:
+                f = cand[lead] / other[lead]
+                cand = [x - f * y for x, y in zip(cand, other)]
+        lead = next((j for j, x in enumerate(cand) if x), None)
+        if lead is None:
+            continue
+        work.append((lead, cand))
+        chosen.append(idx)
+        if len(chosen) == m:
+            return chosen
+    return None
+
+
+def test_independent_rows_match_greedy_selection():
+    for n, r in ((3, GENERIC), (4, GENERIC), (3, power_regime(-1, 1)),
+                 (4, power_regime(1, 2)), (4, power_regime(1, 0))):
+        reps = [c[0] for c in separation_classes(n, r).classes]
+        matrix, _, _ = adaptive_matrix(n, r, reps)
+        assert center._independent_rows(matrix, len(reps)) == \
+            greedy_rows_oracle(matrix, len(reps))
+    rng = random.Random(31)
+    for _ in range(10):
+        cols = rng.randint(1, 4)
+        basis = [[random_poly(rng, nterms=2, span=2) for _ in range(cols)]
+                 for _ in range(cols)]
+        m = basis + [random_combination(rng, basis) for _ in range(2)]
+        rng.shuffle(m)
+        expected = greedy_rows_oracle(m, cols)
+        if expected is not None:
+            assert center._independent_rows(m, cols) == expected
+
+
+def test_independent_rows_survive_an_unlucky_point():
+    # vanishes at the first evaluation point only
+    p = LaurentQT.monomial(1) - LaurentQT.const(Fraction(17, 5))
+    assert center._independent_rows([[p]], 1) == [0]
+    with pytest.raises(ResourceLimit):
+        center._independent_rows([[LaurentQT()]], 1)
 
 
 def test_evaluation_matrix_full_rank_generic():

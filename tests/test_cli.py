@@ -1,6 +1,9 @@
 """Command-line behaviour: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -143,6 +146,48 @@ def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["separate", "--n", "2", "--t", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["selfcheck", "--n", "3", "--parallel"],
+    ["separate", "--n", "3", "--shape2", "1"],
+    ["separate", "--n", "3", "--defect", "1"],
+    ["lambda", "--n", "3", "--format", "dot"],
+])
+def test_removed_options_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
+def test_negative_level_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["separate", "--n", "-3"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_idempotent_honours_regime(capsys):
+    code, out, err = invoke(capsys, "idempotent", "--n", "4", "--shape", "2",
+                            "--t", "q^2")
+    assert code == 1 and out == ""
+    assert "RegimeMismatch" in err
+
+
+def test_closed_pipe_exits_quietly():
+    # 370 kB of output: far more than a pipe buffers, so writes hit the
+    # closed pipe
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen([sys.executable, "-m", "bmwcenter", "lambda", "--n", "30"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            bufsize=0, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first.startswith(b"(")
+    assert err == b""
+    assert proc.returncode == 1
 
 
 def test_output_is_deterministic(capsys):
