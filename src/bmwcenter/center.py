@@ -111,9 +111,7 @@ def divexact(a: LaurentQT, b: LaurentQT):
                 ra[k] = w
             else:
                 ra.pop(k, None)
-    out = LaurentQT()
-    out.terms = {(x + qa - qb, y + ta - tb): c for (x, y), c in quot.items()}
-    return out
+    return LaurentQT({(x + qa - qb, y + ta - tb): c for (x, y), c in quot.items()})
 
 
 def _exact_quotient(a, b):
@@ -177,16 +175,23 @@ _POINTS = ((Fraction(17, 5), Fraction(23, 7)),
 def _specialize(matrix, point=_POINTS[0]):
     """Rows of matrix at q, t = point, each scaled to integers.
 
-    Scaling a row by a nonzero constant changes neither the rank nor which
-    rows are independent.
+    With q = a/b and t = c/d, a row whose q and t exponents lie in [q0, q1]
+    and [t0, t1] is scaled by a^-q0 b^q1 c^-t0 d^t1 and by the lcm D of its
+    coefficient denominators, so the term x q^i t^j becomes the integer
+    x D a^(i-q0) b^(q1-i) c^(j-t0) d^(t1-j).  Scaling a row by a nonzero
+    constant changes neither the rank nor which rows are independent.
     """
-    qv, tv = point
+    (a, b), (c, d) = ((v.numerator, v.denominator) for v in point)
     rows = []
     for row in matrix:
-        vals = [sum((c * qv ** a * tv ** b for (a, b), c in p.terms.items()),
-                    Fraction(0)) for p in row]
-        scale = lcm(*(v.denominator for v in vals))
-        rows.append([v.numerator * (scale // v.denominator) for v in vals])
+        qs = {i for p in row for i, _ in p.terms} or {0}
+        ts = {j for p in row for _, j in p.terms} or {0}
+        q0, q1, t0, t1 = min(qs), max(qs), min(ts), max(ts)
+        qpow = {i: a ** (i - q0) * b ** (q1 - i) for i in qs}
+        tpow = {j: c ** (j - t0) * d ** (t1 - j) for j in ts}
+        scale = lcm(*(x.denominator for p in row for x in p.terms.values()))
+        rows.append([sum(x.numerator * (scale // x.denominator) * qpow[i] * tpow[j]
+                         for (i, j), x in p.terms.items()) for p in row])
     return rows
 
 
@@ -239,7 +244,7 @@ def _build_matrix(n, r, K, shapes):
     columns = []
     for lp in shapes:
         values = drunk_content_values(n, lp.shape, r)
-        w = expand_W_series(values, K).coeffs
+        w = expand_W_series(values, K)
         e = LaurentQT.const(1)
         for v in values:
             e = e * v.monomial()
@@ -304,6 +309,8 @@ class LaurentFrac:
         return self.num.is_zero
 
     def __eq__(self, other):
+        if not isinstance(other, LaurentFrac):
+            return NotImplemented
         return self.num * other.den == other.num * self.den
 
     def __add__(self, other):

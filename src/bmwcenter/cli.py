@@ -300,10 +300,14 @@ def cmd_selfcheck(args, out):
     for lam, count in tableaux.path_counts(n).items():
         if count != len(tableaux.enumerate_paths(n, lam)):
             failures.append("path count mismatch at %s" % lam)
-    for f in failures:
-        out("FAIL: %s" % f)
-    out("selfcheck level %d: %s" % (n, "ok" if not failures else
-                                    "%d failure(s)" % len(failures)))
+    if args.format == "json":
+        _emit(args, {"n": n, "regime": str(args.regime), "ok": not failures,
+                     "failures": failures})
+    else:
+        for f in failures:
+            out("FAIL: %s" % f)
+        out("selfcheck level %d: %s" % (n, "ok" if not failures else
+                                        "%d failure(s)" % len(failures)))
     return 0 if not failures else 1
 
 

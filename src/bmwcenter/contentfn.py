@@ -50,13 +50,8 @@ class WheelSignature:
         """Signature of the product of the two rational functions."""
         if self.kind != other.kind:
             raise RegimeMismatch("cannot merge signatures of different regimes")
-        out = dict(self.exponents)
-        for v, e in other.exponents.items():
-            w = out.get(v, 0) + e
-            if w:
-                out[v] = w
-            else:
-                out.pop(v, None)
+        out = Counter(self.exponents)
+        out.update(other.exponents)
         return WheelSignature(self.kind, out)
 
     def __str__(self):

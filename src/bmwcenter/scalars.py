@@ -5,15 +5,17 @@ unity) or a power specialization t = eps * q^N with q transcendental.
 Root-of-unity parameters are unrepresentable by construction.
 
 Content values live in the group {+-1} x Z (power regimes, sigma * q^m) or
-in the free abelian group on t and q^2 (generic).  LaurentQT is a sparse
-exact Laurent polynomial in q and t over rationals; SeriesT a truncated
-power series in T with LaurentQT coefficients.
+in the free abelian group on t and q^2 (generic).  LaurentQT is the sparse
+exact Laurent polynomial over the rationals, in q and t here and in
+x_1 ... x_n as wheelpoly.MultiLaurent; wheel_series expands
+prod(1 - m^-1 T) / prod(1 - m T) over monomials of either ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import RegimeMismatch
 
@@ -160,20 +162,24 @@ def value_from_text(text, r: Regime) -> ContentValue:
 
 
 # ---------------------------------------------------------------------------
-# sparse Laurent polynomials in q, t
+# sparse Laurent polynomials
+
+# arithmetic results get their terms directly, without a pass through __init__
+_new = object.__new__
 
 
 class LaurentQT:
-    """Sparse Laurent polynomial sum c_{ab} q^a t^b with exact rationals."""
+    """Sparse Laurent polynomial over exact rationals.
+
+    ``terms`` maps exponent tuples, all of one length, to nonzero
+    Fractions.  The tuples are (q, t) exponents here; the subclass
+    ``wheelpoly.MultiLaurent`` uses the same arithmetic in x_1 ... x_n.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if v:
-                    self.terms[k] = Fraction(v)
+        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
 
     @classmethod
     def const(cls, c):
@@ -201,40 +207,58 @@ class LaurentQT:
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
+            w = out.get(k)
+            if w is None:
+                out[k] = v
             else:
-                out.pop(k, None)
-        r = LaurentQT()
+                w += v
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
+        r = _new(type(self))
         r.terms = out
         return r
 
     def __neg__(self):
-        r = LaurentQT()
+        r = _new(type(self))
         r.terms = {k: -v for k, v in self.terms.items()}
         return r
 
     def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return LaurentQT()
-            r = LaurentQT()
-            r.terms = {k: v * other for k, v in self.terms.items()}
-            return r
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                w = out.get(k, 0) + c1 * c2
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            w = out.get(k)
+            if w is None:
+                out[k] = -v
+            else:
+                w -= v
                 if w:
                     out[k] = w
                 else:
-                    out.pop(k, None)
-        r = LaurentQT()
+                    del out[k]
+        r = _new(type(self))
+        r.terms = out
+        return r
+
+    def __mul__(self, other):
+        r = _new(type(self))
+        if isinstance(other, (int, Fraction)):
+            r.terms = {k: v * other for k, v in self.terms.items()} if other else {}
+            return r
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                k = (*map(add, e1, e2),)
+                w = out.get(k)
+                if w is None:
+                    out[k] = c1 * c2
+                else:
+                    w += c1 * c2
+                    if w:
+                        out[k] = w
+                    else:
+                        del out[k]
         r.terms = out
         return r
 
@@ -243,40 +267,49 @@ class LaurentQT:
     def is_monomial(self):
         return len(self.terms) == 1
 
-    def monomial_inverse(self):
-        ((a, b), c), = self.terms.items()
-        return LaurentQT({(-a, -b): 1 / c})
-
     def pow(self, k):
-        if k < 0:
-            return self.monomial_inverse().pow(-k)
-        out = LaurentQT.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        """The k-th power of a monomial, for any integer k."""
+        (e, c), = self.terms.items()
+        r = _new(type(self))
+        r.terms = {tuple(k * x for x in e): c ** k}
+        return r
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+    def monomial_inverse(self):
+        return self.pow(-1)
 
-    def __str__(self):
+    def map_exponents(self, f):
+        """The polynomial with each exponent tuple e replaced by f(e)."""
+        out = {}
+        for e, c in self.terms.items():
+            k = f(e)
+            w = out.get(k)
+            if w is None:
+                out[k] = c
+            else:
+                w += c
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
+        r = _new(type(self))
+        r.terms = out
+        return r
+
+    def _format(self, names):
+        """Terms in exponent order, each variable written as name^exponent."""
         if not self.terms:
             return "0"
         bits = []
-        for (a, b), c in self.sorted_terms():
-            mono = []
-            if a:
-                mono.append("q^%d" % a)
-            if b:
-                mono.append("t^%d" % b)
+        for e, c in sorted(self.terms.items()):
+            mono = ["%s^%d" % (x, p) for x, p in zip(names, e) if p]
             if not mono or abs(c) != 1:
                 mono.insert(0, str(abs(c)))
             s = "*".join(mono)
             bits.append(("- " if c < 0 else "+ " if bits else "") + s)
         return " ".join(bits).lstrip("+ ")
+
+    def __str__(self):
+        return self._format(("q", "t"))
 
     def __repr__(self):
         return "LaurentQT(%s)" % self
@@ -306,84 +339,31 @@ def delta(r: Regime):
 
 
 # ---------------------------------------------------------------------------
-# truncated power series in T
+# the wheel series
 
 
-class SeriesT:
-    """Power series in T truncated at order K, LaurentQT coefficients."""
+def wheel_series(monomials, one, order):
+    """T^0 ... T^order coefficients of prod(1 - m^-1 T) / prod(1 - m T).
 
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs=None):
-        self.order = order
-        self.coeffs = list(coeffs) if coeffs is not None else []
-        while len(self.coeffs) < order + 1:
-            self.coeffs.append(LaurentQT())
-        del self.coeffs[order + 1:]
-
-    @classmethod
-    def one(cls, order):
-        return cls(order, [LaurentQT.const(1)])
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
-    def __eq__(self, other):
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        K = min(self.order, other.order)
-        return SeriesT(K, [self.coeffs[k] + other.coeffs[k] for k in range(K + 1)])
-
-    def __mul__(self, other):
-        K = min(self.order, other.order)
-        out = [LaurentQT() for _ in range(K + 1)]
-        for i, ci in enumerate(self.coeffs[:K + 1]):
-            if ci.is_zero:
-                continue
-            for j in range(K + 1 - i):
-                cj = other.coeffs[j]
-                if not cj.is_zero:
-                    out[i + j] = out[i + j] + ci * cj
-        return SeriesT(K, out)
-
-    def inverse(self):
-        """Reciprocal series; the constant term must be a monomial."""
-        c0 = self.coeffs[0]
-        if not c0.is_monomial():
-            raise ValueError("series constant term is not invertible exactly")
-        inv0 = c0.monomial_inverse()
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            acc = LaurentQT()
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out.append(-(inv0 * acc))
-        return SeriesT(self.order, out)
+    The product runs over the monomials m (a multiset; repeats allowed) and
+    ``one`` is the constant 1 of their ring.  Each m costs 2 * order
+    monomial products: multiplying by 1 - m^-1 T updates c_k -= m^-1 c_{k-1}
+    from the top down, dividing by 1 - m T updates c_k += m c_{k-1} from the
+    bottom up.
+    """
+    c = [one] + [one * 0] * order
+    for m in monomials:
+        inv = m.monomial_inverse()
+        for k in range(order, 0, -1):
+            c[k] = c[k] - inv * c[k - 1]
+        for k in range(1, order + 1):
+            c[k] = c[k] + m * c[k - 1]
+    return c
 
 
-def geometric(value: ContentValue, order: int) -> SeriesT:
-    """1/(1 - v T) truncated: coefficients v^k."""
-    m = value.monomial()
-    coeffs = [LaurentQT.const(1)]
-    for _ in range(order):
-        coeffs.append(coeffs[-1] * m)
-    return SeriesT(order, coeffs)
-
-
-def linear_factor(value: ContentValue, order: int) -> SeriesT:
-    """1 - v T truncated."""
-    coeffs = [LaurentQT.const(1), -value.monomial()]
-    return SeriesT(order, coeffs)
-
-
-def expand_W_series(values, order: int) -> SeriesT:
-    """prod (1 - v^-1 T) / prod (1 - v T), truncated at the given order.
+def expand_W_series(values, order: int):
+    """Coefficients of prod (1 - v^-1 T) / prod (1 - v T) up to T^order.
 
     ``values`` is an iterable of ContentValue (a multiset; repeats allowed).
     """
-    out = SeriesT.one(order)
-    for v in values:
-        out = out * linear_factor(v.inverse(), order)
-        out = out * geometric(v, order)
-    return out
+    return wheel_series([v.monomial() for v in values], LaurentQT.const(1), order)

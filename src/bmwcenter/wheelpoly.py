@@ -13,24 +13,20 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ResourceLimit
-from .scalars import LaurentQT, Regime
+from .scalars import LaurentQT, Regime, wheel_series
 
 
-class MultiLaurent:
-    """Sparse Laurent polynomial in n variables over exact rationals.
+class MultiLaurent(LaurentQT):
+    """LaurentQT in the variables x_1 ... x_n: exponent tuples of length n.
 
-    Terms map exponent tuples (length n, integers) to nonzero Fractions.
+    ``n`` is read off the exponent tuples; the zero polynomial has n = 0
+    and evaluates to 0 on any number of values.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for k, v in terms.items():
-                if v:
-                    self.terms[k] = Fraction(v)
+        super().__init__(terms)
 
     @classmethod
     def const(cls, n, c):
@@ -43,115 +39,11 @@ class MultiLaurent:
         return cls(n, {tuple(exps): Fraction(1)})
 
     @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiLaurent) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        r = MultiLaurent(self.n)
-        r.terms = out
-        return r
-
-    def __neg__(self):
-        r = MultiLaurent(self.n)
-        r.terms = {k: -v for k, v in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return MultiLaurent(self.n)
-            r = MultiLaurent(self.n)
-            r.terms = {k: v * other for k, v in self.terms.items()}
-            return r
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(e1, e2))
-                w = out.get(k, 0) + c1 * c2
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
-        r = MultiLaurent(self.n)
-        r.terms = out
-        return r
-
-    __rmul__ = __mul__
-
-    def swap_variables(self, i, j):
-        out = {}
-        for e, c in self.terms.items():
-            e = list(e)
-            e[i], e[j] = e[j], e[i]
-            out[tuple(e)] = c
-        r = MultiLaurent(self.n)
-        r.terms = out
-        return r
-
-    def substitute_inverse(self, src, dst):
-        """x_src := x_dst^{-1}: fold the src exponent into dst, negated."""
-        out = {}
-        for e, c in self.terms.items():
-            e = list(e)
-            e[dst] -= e[src]
-            e[src] = 0
-            k = tuple(e)
-            w = out.get(k, 0) + c
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        r = MultiLaurent(self.n)
-        r.terms = out
-        return r
-
-    def substitute_one(self, i):
-        """x_i := 1."""
-        out = {}
-        for e, c in self.terms.items():
-            e = list(e)
-            e[i] = 0
-            k = tuple(e)
-            w = out.get(k, 0) + c
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        r = MultiLaurent(self.n)
-        r.terms = out
-        return r
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+    def n(self):
+        return len(next(iter(self.terms), ()))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in self.sorted_terms():
-            mono = ["x%d^%d" % (i + 1, p) for i, p in enumerate(e) if p]
-            if not mono or abs(c) != 1:
-                mono.insert(0, str(abs(c)))
-            s = "*".join(mono)
-            bits.append(("- " if c < 0 else "+ " if bits else "") + s)
-        return " ".join(bits).lstrip("+ ")
+        return self._format(["x%d" % (i + 1) for i in range(self.n)])
 
     def __repr__(self):
         return "MultiLaurent(n=%d, %s)" % (self.n, self)
@@ -171,22 +63,8 @@ def _check_cap(n, k):
 @lru_cache(maxsize=None)
 def _wheel_series(n, K):
     """Coefficients w_0 ... w_K of prod(1-x_i^{-1}T)/prod(1-x_iT)."""
-    # series with MultiLaurent coefficients, multiplied factor by factor
-    coeffs = [MultiLaurent.const(n, 1)] + [MultiLaurent(n) for _ in range(K)]
-    for i in range(n):
-        xi = MultiLaurent.variable(n, i)
-        xi_inv = MultiLaurent.variable(n, i, -1)
-        # multiply by (1 - x_i^{-1} T)
-        nxt = [coeffs[0]]
-        for k in range(1, K + 1):
-            nxt.append(coeffs[k] - xi_inv * coeffs[k - 1])
-        coeffs = nxt
-        # multiply by 1/(1 - x_i T) = sum x_i^k T^k
-        nxt = [coeffs[0]]
-        for k in range(1, K + 1):
-            nxt.append(coeffs[k] + xi * nxt[k - 1])
-        coeffs = nxt
-    return tuple(coeffs)
+    xs = [MultiLaurent.variable(n, i) for i in range(n)]
+    return tuple(wheel_series(xs, MultiLaurent.const(n, 1), K))
 
 
 def elementary_wheel(n, k) -> MultiLaurent:
@@ -197,25 +75,19 @@ def elementary_wheel(n, k) -> MultiLaurent:
 
 def power_sum(n, k) -> MultiLaurent:
     """p_k^- = sum_i (x_i^k - x_i^{-k}); zero for k = 0."""
-    out = MultiLaurent(n)
-    if k == 0:
-        return out
-    for i in range(n):
-        out = out + MultiLaurent.variable(n, i, k) - MultiLaurent.variable(n, i, -k)
-    return out
+    return sum((MultiLaurent.variable(n, i, k) - MultiLaurent.variable(n, i, -k)
+                for i in range(n)), MultiLaurent(n))
 
 
 def inverse_coeffs(n, K):
-    """v_0 ... v_K with sum_i w_i v_{k-i} = delta_{k,0}."""
+    """v_0 ... v_K with sum_i w_i v_{k-i} = delta_{k,0}.
+
+    The reciprocal of prod(1-x_i^{-1}T)/prod(1-x_iT) is the same series
+    in the inverted variables.
+    """
     _check_cap(n, K)
-    w = _wheel_series(n, K)
-    v = [MultiLaurent.const(n, 1)]
-    for k in range(1, K + 1):
-        acc = MultiLaurent(n)
-        for i in range(1, k + 1):
-            acc = acc + w[i] * v[k - i]
-        v.append(-acc)
-    return v
+    inverses = [MultiLaurent.variable(n, i, -1) for i in range(n)]
+    return wheel_series(inverses, MultiLaurent.const(n, 1), K)
 
 
 def newton_check(n, K) -> bool:
@@ -233,7 +105,8 @@ def newton_check(n, K) -> bool:
 
 def is_symmetric(p: MultiLaurent) -> bool:
     """Invariance under all adjacent transpositions."""
-    return all(p.swap_variables(i, i + 1) == p for i in range(p.n - 1))
+    return all(p.map_exponents(lambda e: e[:i] + (e[i + 1], e[i]) + e[i + 2:]) == p
+               for i in range(p.n - 1))
 
 
 def is_wheel(p: MultiLaurent) -> bool:
@@ -242,14 +115,14 @@ def is_wheel(p: MultiLaurent) -> bool:
         return False
     if p.n < 2:
         return True
-    lhs = p.substitute_inverse(1, 0)
-    rhs = p.substitute_one(0).substitute_one(1)
+    lhs = p.map_exponents(lambda e: (e[0] - e[1], 0) + e[2:])
+    rhs = p.map_exponents(lambda e: (0, 0) + e[2:])
     return lhs == rhs
 
 
 def evaluate(p: MultiLaurent, values, r: Regime) -> LaurentQT:
     """Exact substitution of content-value monomials for the variables."""
-    if len(values) != p.n:
+    if p.terms and len(values) != p.n:
         raise ValueError("expected %d values, got %d" % (p.n, len(values)))
     monos = [v.monomial() for v in values]
     out = LaurentQT()

@@ -89,6 +89,12 @@ def test_divexact_zero_cases():
         divexact(LaurentQT.const(1), LaurentQT())
 
 
+def fraction_rows(matrix, qv, tv):
+    """The entries of matrix at q, t = qv, tv, in Fraction arithmetic."""
+    return [[sum((c * qv ** x * tv ** y for (x, y), c in p.terms.items()),
+                 Fraction(0)) for p in row] for row in matrix]
+
+
 def specialized_rank_oracle(matrix):
     """Rank over Q after substituting random rationals, maximized over trials."""
     best = 0
@@ -96,8 +102,7 @@ def specialized_rank_oracle(matrix):
     for _ in range(4):
         qv = Fraction(rng.randint(2, 30), rng.randint(2, 30))
         tv = Fraction(rng.randint(2, 30), rng.randint(2, 30))
-        rows = [[sum((c * qv ** x * tv ** y for (x, y), c in p.terms.items()),
-                     Fraction(0)) for p in row] for row in matrix]
+        rows = fraction_rows(matrix, qv, tv)
         rank = 0
         ncols = len(rows[0])
         for col in range(ncols):
@@ -185,9 +190,7 @@ def test_inexact_quotient_raises():
 
 def greedy_rows_oracle(matrix, m):
     """The first m independent rows at q, t = 17/5, 23/7, one row at a time."""
-    qv, tv = Fraction(17, 5), Fraction(23, 7)
-    rows = [[sum((c * qv ** a * tv ** b for (a, b), c in p.terms.items()),
-                 Fraction(0)) for p in row] for row in matrix]
+    rows = fraction_rows(matrix, Fraction(17, 5), Fraction(23, 7))
     chosen = []
     work = []
     for idx, row in enumerate(rows):
@@ -223,6 +226,28 @@ def test_independent_rows_match_greedy_selection():
         expected = greedy_rows_oracle(m, cols)
         if expected is not None:
             assert center._independent_rows(m, cols) == expected
+
+
+def test_specialized_rows_are_proportional_to_fraction_values():
+    rng = random.Random(41)
+    matrices = [adaptive_matrix(n, r)[0]
+                for n, r in ((3, GENERIC), (4, power_regime(1, 2)),
+                             (4, power_regime(-1, 1)))]
+    for _ in range(6):
+        matrices.append([[random_poly(rng, nterms=3, span=3) * Fraction(1, rng.randint(1, 6))
+                          for _ in range(3)] for _ in range(3)])
+    matrices.append([[LaurentQT(), LaurentQT.const(2)], [LaurentQT(), LaurentQT()]])
+    for matrix in matrices:
+        for point in center._POINTS:
+            spec = center._specialize(matrix, point)
+            for got, exact in zip(spec, fraction_rows(matrix, *point)):
+                assert all(type(v) is int for v in got)
+                lead = next((j for j, v in enumerate(exact) if v), None)
+                if lead is None:
+                    assert not any(got)
+                    continue
+                ratio = Fraction(got[lead]) / exact[lead]
+                assert ratio and got == [ratio * v for v in exact]
 
 
 def test_independent_rows_survive_an_unlucky_point():
@@ -270,6 +295,8 @@ def test_laurent_frac_arithmetic():
     assert (a - a).is_zero
     with pytest.raises(ZeroDivisionError):
         a / LaurentFrac.const(0)
+    assert LaurentFrac.const(1) != 1
+    assert LaurentFrac.__eq__(LaurentFrac.const(1), one) is NotImplemented
 
 
 def test_separating_family_unitriangular():

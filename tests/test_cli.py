@@ -122,6 +122,14 @@ def test_selfcheck(capsys):
     assert "selfcheck level 3: ok" in out
 
 
+def test_selfcheck_json(capsys):
+    code, out, _ = invoke(capsys, "selfcheck", "--n", "3", "--t", "q^2",
+                          "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "regime": "q^2", "ok": True,
+                               "failures": []}
+
+
 def test_domain_error_exit_one(capsys):
     # shape size and level parity cannot match
     code, out, err = invoke(capsys, "signature", "--n", "3", "--shape", "2")

@@ -1,0 +1,65 @@
+"""Golden CLI transcripts: stdout compared byte for byte.
+
+Each case runs ``bmwcenter.cli.run`` in-process and compares its stdout
+with ``tests/golden/<name>.out``.  The cases cover every output that prints
+a Laurent polynomial or an expanded wheel series.  To record the files
+again (only when an output is meant to change):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import pathlib
+from contextlib import redirect_stdout
+
+import pytest
+
+from bmwcenter.cli import run
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+REGIMES = ("generic", "q^2", "-q^1")
+FORMATS = ("text", "json")
+
+
+def _cases():
+    argvs = [["wheel", "--n", str(n)] for n in (2, 3, 4)]
+    for t in REGIMES:
+        argvs += [["matrix", "--n", "3", "--t", t],
+                  ["family", "--n", "3", "--t", t],
+                  ["contents", "--n", "4", "--shape", "2", "--t", t],
+                  ["contents", "--n", "5", "--shape", "2,1", "--t", t],
+                  ["signature", "--n", "4", "--shape", "1,1", "--t", t],
+                  ["signature", "--n", "5", "--shape", "3", "--t", t]]
+    return [argv + ["--format", f] for argv in argvs for f in FORMATS]
+
+
+def _name(argv):
+    """A file name for argv, e.g. family_n3_mq1_json."""
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    bits = [argv[0], "n" + opts["--n"]]
+    if "--shape" in opts:
+        bits.append("s" + opts["--shape"].replace(",", ""))
+    if "--t" in opts:
+        bits.append(opts["--t"].replace("-", "m").replace("^", ""))
+    bits.append(opts["--format"])
+    return "_".join(bits)
+
+
+def _stdout(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = run(argv)
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", _cases(), ids=_name)
+def test_golden_transcript(argv):
+    expected = (GOLDEN / (_name(argv) + ".out")).read_text()
+    assert _stdout(argv) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for argv in _cases():
+        (GOLDEN / (_name(argv) + ".out")).write_text(_stdout(argv))

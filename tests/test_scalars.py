@@ -1,15 +1,15 @@
 """Regimes, content values and exact Laurent/series arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from bmwcenter.errors import RegimeMismatch
 from bmwcenter.scalars import (ADD, Content, ContentValue, GENERIC, LaurentQT,
-                               REMOVE, SeriesT, content_value, delta,
-                               expand_W_series, geometric, linear_factor,
+                               REMOVE, content_value, delta, expand_W_series,
                                power_regime, quantum_integer, regime_from_text,
-                               value_from_text)
+                               value_from_text, wheel_series)
 
 
 def test_regime_parsing():
@@ -115,13 +115,35 @@ def test_delta_generic_pair():
     assert num - den == LaurentQT.monomial(0, 1) - LaurentQT.monomial(0, -1)
 
 
+def series_product(a, b):
+    """Truncated product of two coefficient lists, by direct convolution."""
+    K = min(len(a), len(b)) - 1
+    out = [LaurentQT() for _ in range(K + 1)]
+    for i in range(K + 1):
+        for j in range(K + 1 - i):
+            out[i + j] = out[i + j] + a[i] * b[j]
+    return out
+
+
+def series_one(K):
+    return [LaurentQT.const(1)] + [LaurentQT() for _ in range(K)]
+
+
 def test_series_inverse():
     v = ContentValue("power", 1, 2)
-    s = linear_factor(v, 6)
-    prod = s * s.inverse()
-    assert prod == SeriesT.one(6)
-    g = geometric(v, 6)
-    assert (g * linear_factor(v, 6)) == SeriesT.one(6)
+    m = v.monomial()
+    # 1 - vT and the geometric series 1/(1 - vT) = sum v^k T^k
+    linear = [LaurentQT.const(1), -m] + [LaurentQT() for _ in range(5)]
+    geometric = [m.pow(k) for k in range(7)]
+    assert series_product(linear, geometric) == series_one(6)
+    assert series_product(geometric, linear) == series_one(6)
+    # the wheel series of v is (1 - v^-1 T) times the geometric series,
+    # and the wheel series of v^-1 is its reciprocal
+    one = LaurentQT.const(1)
+    s = wheel_series([m], one, 6)
+    inv_linear = [one, -m.monomial_inverse()] + [LaurentQT() for _ in range(5)]
+    assert s == series_product(inv_linear, geometric)
+    assert series_product(s, wheel_series([m.monomial_inverse()], one, 6)) == series_one(6)
 
 
 def test_expand_W_series_single_value():
@@ -136,4 +158,18 @@ def test_expand_W_series_single_value():
 def test_expand_W_series_cancellation():
     v = ContentValue("power", 1, 3)
     s = expand_W_series([v, v.inverse()], 5)
-    assert s == SeriesT.one(5)
+    assert s == series_one(5)
+
+
+def test_expand_W_series_is_multiplicative():
+    rng = random.Random(4)
+    for r in (GENERIC, power_regime(1, 2), power_regime(-1, 1), power_regime(1, -3)):
+        for _ in range(12):
+            a = [content_value(Content(rng.choice((ADD, REMOVE)), rng.randint(-4, 4)), r)
+                 for _ in range(rng.randint(0, 4))]
+            b = [content_value(Content(rng.choice((ADD, REMOVE)), rng.randint(-4, 4)), r)
+                 for _ in range(rng.randint(0, 4))]
+            K = rng.randint(0, 6)
+            assert expand_W_series(a + b, K) == series_product(
+                expand_W_series(a, K), expand_W_series(b, K))
+            assert expand_W_series(a + [v.inverse() for v in a], K) == series_one(K)
