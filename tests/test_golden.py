@@ -2,8 +2,9 @@
 
 Each case runs ``bmwcenter.cli.run`` in-process and compares its stdout
 with ``tests/golden/<name>.out``.  The cases cover every output that prints
-a Laurent polynomial or an expanded wheel series.  To record the files
-again (only when an output is meant to change):
+a Laurent polynomial or an expanded wheel series, and the commands that
+walk updown paths (``paths``, ``idempotent``, ``graph``, ``selfcheck``).
+To record the files again (only when an output is meant to change):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -29,8 +30,15 @@ def _cases():
                   ["contents", "--n", "4", "--shape", "2", "--t", t],
                   ["contents", "--n", "5", "--shape", "2,1", "--t", t],
                   ["signature", "--n", "4", "--shape", "1,1", "--t", t],
-                  ["signature", "--n", "5", "--shape", "3", "--t", t]]
-    return [argv + ["--format", f] for argv in argvs for f in FORMATS]
+                  ["signature", "--n", "5", "--shape", "3", "--t", t],
+                  ["selfcheck", "--n", "5", "--t", t]]
+    argvs += [["paths", "--n", "5", "--shape", "1"],
+              ["paths", "--n", "5", "--shape", "2,1"],
+              ["idempotent", "--n", "5", "--shape", "1"],
+              ["idempotent", "--n", "5", "--shape", "3"]]
+    cases = [argv + ["--format", f] for argv in argvs for f in FORMATS]
+    return cases + [["graph", "--n", "4", "--format", f]
+                    for f in ("text", "json", "dot")]
 
 
 def _name(argv):
