@@ -72,10 +72,8 @@ def cmd_contents(args, out):
 
 def cmd_wheel(args, out):
     n, K = args.n, args.order
-    rows = []
-    for k in range(K + 1):
-        rows.append({"k": k, "w": str(wheelpoly.elementary_wheel(n, k)),
-                     "p": str(wheelpoly.power_sum(n, k))})
+    rows = [{"k": k, "w": str(w), "p": str(wheelpoly.power_sum(n, k))}
+            for k, w in enumerate(wheelpoly.wheel_coefficients(n, K))]
     newton = wheelpoly.newton_check(n, K)
     if args.format == "json":
         _emit(args, {"n": n, "order": K, "rows": rows, "newton": newton})
@@ -287,6 +285,7 @@ def _check_shape(n, lp, regime):
 
 def cmd_selfcheck(args, out):
     n = args.n
+    tableaux.check_level_cap(n)  # the path-count check below walks the level
     failures = [f for f in (_check_shape(n, lp, args.regime)
                             for lp in tableaux.enumerate_lambda(n)) if f]
 

@@ -15,7 +15,7 @@ from .errors import RegimeMismatch
 from .partitions import Partition, diagonal_datum, skew_datum
 from .scalars import ADD, Content, Regime, content_value, expand_W_series
 from .tableaux import labeled
-from .wheelpoly import elementary_wheel, evaluate
+from .wheelpoly import evaluate, wheel_coefficients
 
 
 class WheelSignature:
@@ -189,10 +189,8 @@ def series_consistency(n, lam: Partition, r: Regime, K) -> bool:
     """
     values = drunk_content_values(n, lam, r)
     series = expand_W_series(values, K)
-    for k in range(K + 1):
-        if series[k] != evaluate(elementary_wheel(n, k), values, r):
-            return False
-    return True
+    return all(c == evaluate(w, values, r)
+               for c, w in zip(series, wheel_coefficients(n, K)))
 
 
 def signature_json(sig: WheelSignature):

@@ -12,8 +12,8 @@ from __future__ import annotations
 from .errors import RegimeMismatch, ZeroDenominator
 from .partitions import Partition, boundary_boxes
 from .scalars import ADD, REMOVE, Content, GENERIC, LaurentQT, Regime, content_value
-from .tableaux import (content_sequence, drunk_path, enumerate_lambda,
-                       enumerate_paths)
+from .tableaux import (check_level_cap, content_sequence, drunk_path,
+                       edge_content, enumerate_lambda, enumerate_paths)
 
 
 def extension_contents(mu: Partition, r: Regime = GENERIC):
@@ -42,44 +42,73 @@ class SpectralDiagonal:
 
 
 def spectral_idempotent(n, lam: Partition, r: Regime = GENERIC) -> SpectralDiagonal:
-    """Diagonal of e_{lam,n} on all paths of all shapes at level n."""
+    """Diagonal of e_{lam,n} on all paths of all shapes at level n.
+
+    The interpolation product is evaluated along the prefix tree of each
+    shape's paths: consecutive paths in DFS order share a prefix, whose
+    partial product is kept, and a prefix whose content hits a node makes
+    every path through it 0 without further products.  Raises
+    ``ResourceLimit`` if level n has more than ``MAX_PATHS`` paths.
+    """
     if not r.is_generic:
         raise RegimeMismatch("idempotent evaluation is generic-regime only")
+    check_level_cap(n)
     drunk = drunk_path(n, lam)
     drunk_values = [content_value(c, r) for c in content_sequence(drunk)]
-    # interpolation data per level: (nodes to kill, target content)
-    levels = []
+    one = LaurentQT.const(1)
+    nodes_at = []  # the interpolation nodes at each level
+    den = one  # the product at the targets, the same for every path
     for k in range(1, n + 1):
         target = drunk_values[k - 1]
-        nodes = extension_contents(drunk[k - 1], r) - {target}
+        nodes = sorted(extension_contents(drunk[k - 1], r) - {target})
         for c in nodes:
             if c == target:
                 raise ZeroDenominator("colliding contents out of %s" % drunk[k - 1])
-        levels.append((target, sorted(nodes)))
+            den = den * (target.monomial() - c.monomial())
+        nodes_at.append(nodes)
+    # factors[k - 1]: content x at level k -> product of (x - c) over that
+    # level's nodes c, or None where x is a node; filled on first use
+    factors = [dict.fromkeys(nodes) for nodes in nodes_at]
+    edge_values = {}  # (parent, child) -> content value of the moved box
+
+    def factor(k, a, b):
+        x = edge_values.get((a, b))
+        if x is None:
+            x = edge_values[a, b] = content_value(edge_content(a, b), r)
+        known = factors[k - 1]
+        if x not in known:
+            f = one
+            for c in nodes_at[k - 1]:
+                f = f * (x.monomial() - c.monomial())
+            known[x] = f
+        return known[x]
 
     values = {}
     for lp in enumerate_lambda(n):
+        num = [one] * (n + 1)  # num[k]: product over levels 1..k of the prefix
+        dead = n + 1  # the level where the previous path's prefix hit a node
+        prev = None
         for path in enumerate_paths(n, lp.shape):
-            path_values = [content_value(c, r) for c in content_sequence(path)]
-            num = LaurentQT.const(1)
-            den = LaurentQT.const(1)
-            zero = False
-            for k in range(1, n + 1):
-                target, nodes = levels[k - 1]
-                x = path_values[k - 1]
-                for c in nodes:
-                    if x == c:
-                        zero = True
-                        break
-                    num = num * (x.monomial() - c.monomial())
-                    den = den * (target.monomial() - c.monomial())
-                if zero:
-                    break
-            if zero:
+            steps = path.steps
+            d = 1  # first level where this path leaves the previous one
+            if prev is not None:
+                while steps[d] is prev[d]:
+                    d += 1
+            prev = steps
+            if dead < d:
                 values[path] = 0
+                continue
+            for k in range(d, n + 1):
+                f = factor(k, steps[k - 1], steps[k])
+                if f is None:
+                    dead = k
+                    values[path] = 0
+                    break
+                num[k] = num[k - 1] * f
             else:
+                dead = n + 1
                 # a surviving path must evaluate to exactly 1
-                if num != den:
+                if num[n] != den:
                     raise ZeroDenominator(
                         "interpolation on %r is neither 0 nor 1" % path)
                 values[path] = 1

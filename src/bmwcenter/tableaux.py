@@ -8,12 +8,17 @@ entries differ by a single box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import zip_longest
 
-from .errors import ShapeLevelMismatch
+from .errors import ResourceLimit, ShapeLevelMismatch
 from .partitions import (EMPTY, Partition, boundary_boxes, dominance,
                          DOMINATES, partitions_of, text_of_partition)
 from .scalars import ADD, REMOVE, Content, Regime, content_value
+
+# enumerations of more paths than this are refused with ResourceLimit before
+# any path is built; level 11 has 669,351 paths, level 12 has 3,609,673
+MAX_PATHS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,13 @@ class UpDownTableau:
                 raise ValueError("consecutive shapes must differ by one box")
         self.steps = steps
 
+    @classmethod
+    def _trusted(cls, steps):
+        """A tableau on a tuple of steps already known to form a path."""
+        tab = object.__new__(cls)
+        tab.steps = steps
+        return tab
+
     @property
     def level(self):
         return len(self.steps) - 1
@@ -89,7 +101,7 @@ class UpDownTableau:
         return self.steps[k]
 
     def truncated(self, k):
-        return UpDownTableau(self.steps[:k + 1])
+        return self._trusted(self.steps[:k + 1])
 
     def __repr__(self):
         return "UpDownTableau(%s)" % " -> ".join(text_of_partition(s) for s in self.steps)
@@ -103,6 +115,11 @@ def _moved_box(a: Partition, b: Partition) -> Step:
     for i, (x, y) in enumerate(zip_longest(a.parts, b.parts, fillvalue=0), start=1):
         if x != y:
             return Step(ADD, y - i) if y > x else Step(REMOVE, x - i)
+
+
+def edge_content(a: Partition, b: Partition) -> Content:
+    """Content of the box moved between adjacent shapes a and b."""
+    return _moved_box(a, b).content()
 
 
 def step_sequence(tab: UpDownTableau):
@@ -123,39 +140,71 @@ def enumerate_lambda(n):
     return sorted(out, key=LabeledPartition.sort_key)
 
 
+@lru_cache(maxsize=None)
 def _moves(shape):
+    """Children of shape in the branching graph: added boxes, then removed
+    ones, each in box order."""
     removable, addable = boundary_boxes(shape)
-    for (i, j) in sorted(addable):
-        yield shape.with_box_added(i, j)
-    for (i, j) in sorted(removable):
-        yield shape.with_box_removed(i, j)
+    return (tuple(shape.with_box_added(i, j) for (i, j) in sorted(addable))
+            + tuple(shape.with_box_removed(i, j) for (i, j) in sorted(removable)))
+
+
+def _refuse_above_cap(count, what):
+    if count > MAX_PATHS:
+        raise ResourceLimit("%s: more than %d paths (the cap is "
+                            "tableaux.MAX_PATHS)" % (what, MAX_PATHS))
+
+
+def _spread(counts):
+    """One step of the branching recursion: each count pushed along the
+    edges out of its shape."""
+    nxt = {}
+    for shape, c in counts.items():
+        for m in _moves(shape):
+            nxt[m] = nxt.get(m, 0) + c
+    return nxt
 
 
 def enumerate_paths(n, lam: Partition):
     """All updown paths of length n from the empty partition to lam.
 
     Depth-first with lexicographic box order, so the output order is
-    deterministic.
+    deterministic.  The walk runs over the branching graph pruned to the
+    shapes that can still reach lam, so it never enters a dead end.  Raises
+    ``ResourceLimit`` above ``MAX_PATHS`` paths, before any path is built.
     """
     labeled(n, lam)  # validates the (shape, level) pair
+    if n == 0:
+        return [UpDownTableau._trusted((EMPTY,))]
+    # The recursion of path_counts, run backwards from lam: ways maps each
+    # shape that a path to lam passes through at level k to its number of
+    # completions.  A shape at level k has at most k boxes, and every such
+    # shape of the right parity is reachable from the empty one, so each
+    # has a prefix and sum(ways) bounds the path count from below.  A node
+    # is (shape, children), with the children in the order of _moves.
+    ways = {lam: 1}
+    nodes = {lam: (lam, ())}
+    for k in range(n - 1, -1, -1):
+        ways = {m: c for m, c in _spread(ways).items() if m.size <= k}
+        _refuse_above_cap(sum(ways.values()),
+                          "level %d, shape %s" % (n, text_of_partition(lam)))
+        nodes = {s: (s, tuple(nodes[m] for m in _moves(s) if m in nodes))
+                 for s in ways}
+    new = UpDownTableau._trusted
     out = []
-
-    def walk(prefix):
-        k = len(prefix) - 1
-        cur = prefix[-1]
-        if k == n:
-            if cur == lam:
-                out.append(UpDownTableau(prefix))
-            return
-        remaining = n - k
-        for nxt in _moves(cur):
-            # min #steps from nxt to lam, with matching parity
-            inter = sum(min(a, b) for a, b in zip(nxt.parts, lam.parts))
-            need = nxt.size + lam.size - 2 * inter
-            if need <= remaining - 1 and (remaining - 1 - need) % 2 == 0:
-                walk(prefix + [nxt])
-
-    walk([EMPTY])
+    path = [EMPTY]
+    stack = [iter(nodes[EMPTY][1])]
+    while stack:
+        for shape, children in stack[-1]:
+            path.append(shape)
+            if children:
+                stack.append(iter(children))
+                break
+            out.append(new(tuple(path)))
+            path.pop()
+        else:
+            stack.pop()
+            path.pop()
     return out
 
 
@@ -163,12 +212,20 @@ def path_counts(n):
     """|T^ud_n(lam)| for every shape at level n, via the branching recursion."""
     counts = {EMPTY: 1}
     for _ in range(n):
-        nxt = {}
-        for shape, c in counts.items():
-            for m in _moves(shape):
-                nxt[m] = nxt.get(m, 0) + c
-        counts = nxt
+        counts = _spread(counts)
     return counts
+
+
+def check_level_cap(n):
+    """Raise ``ResourceLimit`` if level n has more than ``MAX_PATHS`` paths.
+
+    Level totals grow with the level, so the recursion stops at the first
+    level above the cap.
+    """
+    counts = {EMPTY: 1}
+    for _ in range(n):
+        counts = _spread(counts)
+        _refuse_above_cap(sum(counts.values()), "level %d" % n)
 
 
 def sum_of_squares(n):
@@ -215,11 +272,10 @@ def ruisi_greater(s: UpDownTableau, t: UpDownTableau):
 
 
 def restriction_shapes(n, lam: Partition):
-    """Level-(n-1) shapes reachable by truncating paths to lam."""
-    shapes = set()
-    for tab in enumerate_paths(n, lam):
-        shapes.add(tab[n - 1])
-    return shapes
+    """Level-(n-1) shapes on paths to lam: the first step of the backward
+    recursion in ``enumerate_paths``, so nothing is enumerated."""
+    labeled(n, lam)
+    return {m for m in _moves(lam) if m.size < n}
 
 
 def branching_graph(n, regime: Regime):

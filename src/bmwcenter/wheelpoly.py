@@ -10,7 +10,6 @@ by rational-function normalization.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ResourceLimit
 from .scalars import LaurentQT, Regime, wheel_series
@@ -60,17 +59,31 @@ def _check_cap(n, k):
                             % (k, degree_cap(n), n))
 
 
-@lru_cache(maxsize=None)
+_EXPANSIONS = {}  # n -> the longest expansion w_0 ... w_K made so far
+
+
 def _wheel_series(n, K):
-    """Coefficients w_0 ... w_K of prod(1-x_i^{-1}T)/prod(1-x_iT)."""
-    xs = [MultiLaurent.variable(n, i) for i in range(n)]
-    return tuple(wheel_series(xs, MultiLaurent.const(n, 1), K))
+    """w_0 ... w_K (or more) of prod(1-x_i^{-1}T)/prod(1-x_iT).
+
+    One expansion per n is kept and made again only when a higher order
+    is asked for, so lower orders read a prefix of it.
+    """
+    ws = _EXPANSIONS.get(n, ())
+    if len(ws) <= K:
+        xs = [MultiLaurent.variable(n, i) for i in range(n)]
+        ws = _EXPANSIONS[n] = tuple(wheel_series(xs, MultiLaurent.const(n, 1), K))
+    return ws
+
+
+def wheel_coefficients(n, K):
+    """[w_0, ..., w_K]: the T^0 ... T^K coefficients of the wheel series."""
+    _check_cap(n, K)
+    return list(_wheel_series(n, K)[:K + 1])
 
 
 def elementary_wheel(n, k) -> MultiLaurent:
     """w_k: the T^k coefficient of the wheel generating function."""
-    _check_cap(n, k)
-    return _wheel_series(n, k)[k]
+    return wheel_coefficients(n, k)[k]
 
 
 def power_sum(n, k) -> MultiLaurent:

@@ -130,6 +130,18 @@ def test_selfcheck_json(capsys):
                                "failures": []}
 
 
+@pytest.mark.parametrize("argv", [
+    ["paths", "--n", "16", "--shape", "0"],  # 2,027,025 paths
+    ["selfcheck", "--n", "12"],  # 3,609,673 paths over the level
+    ["idempotent", "--n", "12", "--shape", "0"],
+])
+def test_runaway_enumerations_are_refused(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ResourceLimit: ")
+    assert "more than 1000000 paths" in err
+
+
 def test_domain_error_exit_one(capsys):
     # shape size and level parity cannot match
     code, out, err = invoke(capsys, "signature", "--n", "3", "--shape", "2")

@@ -2,12 +2,13 @@
 
 import pytest
 
-from bmwcenter.errors import RegimeMismatch
+from bmwcenter.errors import RegimeMismatch, ResourceLimit
 from bmwcenter.idempotents import (extension_contents, orthogonality_check,
                                    spectral_idempotent)
 from bmwcenter.partitions import EMPTY, Partition, boundary_boxes
-from bmwcenter.scalars import GENERIC, power_regime
-from bmwcenter.tableaux import drunk_path, enumerate_lambda, enumerate_paths
+from bmwcenter.scalars import GENERIC, LaurentQT, content_value, power_regime
+from bmwcenter.tableaux import (content_sequence, drunk_path, enumerate_lambda,
+                                enumerate_paths)
 
 
 def test_extension_contents_counts():
@@ -51,3 +52,41 @@ def test_path_counts_at_level_three():
 def test_orthogonality():
     for n in range(1, 5):
         assert orthogonality_check(n)
+
+
+def oracle_values(n, lam):
+    """The interpolation product evaluated on every path from scratch."""
+    drunk = drunk_path(n, lam)
+    drunk_values = [content_value(c, GENERIC) for c in content_sequence(drunk)]
+    levels = []
+    for k in range(1, n + 1):
+        target = drunk_values[k - 1]
+        levels.append((target, sorted(extension_contents(drunk[k - 1]) - {target})))
+    values = {}
+    for lp in enumerate_lambda(n):
+        for path in enumerate_paths(n, lp.shape):
+            xs = [content_value(c, GENERIC) for c in content_sequence(path)]
+            num = den = LaurentQT.const(1)
+            value = 1
+            for (target, nodes), x in zip(levels, xs):
+                if x in nodes:
+                    value = 0
+                    break
+                for c in nodes:
+                    num = num * (x.monomial() - c.monomial())
+                    den = den * (target.monomial() - c.monomial())
+            assert value == 0 or num == den, path
+            values[path] = value
+    return values
+
+
+def test_diagonal_matches_oracle_in_order():
+    for n in range(0, 7):
+        for lp in enumerate_lambda(n):
+            got = spectral_idempotent(n, lp.shape).values
+            assert list(got.items()) == list(oracle_values(n, lp.shape).items())
+
+
+def test_level_cap_refuses_before_walking():
+    with pytest.raises(ResourceLimit):
+        spectral_idempotent(12, EMPTY)

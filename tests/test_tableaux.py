@@ -4,14 +4,15 @@ from collections import Counter
 
 import pytest
 
-from bmwcenter.errors import ShapeLevelMismatch
-from bmwcenter.partitions import EMPTY, Partition
+from bmwcenter import tableaux
+from bmwcenter.errors import ResourceLimit, ShapeLevelMismatch
+from bmwcenter.partitions import EMPTY, Partition, boundary_boxes
 from bmwcenter.scalars import ADD, GENERIC, REMOVE
 from bmwcenter.tableaux import (UpDownTableau, branching_graph,
                                 branching_graph_dot, canonical_path,
-                                content_sequence, drunk_path, enumerate_lambda,
-                                enumerate_paths, labeled, path_counts,
-                                restriction_shapes, ruisi_greater,
+                                check_level_cap, content_sequence, drunk_path,
+                                enumerate_lambda, enumerate_paths, labeled,
+                                path_counts, restriction_shapes, ruisi_greater,
                                 step_sequence, sum_of_squares)
 
 LAMBDA_SIZES = {1: 1, 2: 3, 3: 4, 4: 8, 5: 11, 6: 19}
@@ -146,3 +147,84 @@ def test_content_sequence_lengths():
         for lp in enumerate_lambda(n):
             for path in enumerate_paths(n, lp.shape):
                 assert len(content_sequence(path)) == n
+
+
+def oracle_paths(n, lam):
+    """The plain depth-first enumeration: every prefix is copied, every
+    child is tested by its distance to lam and every path is validated."""
+    out = []
+
+    def walk(prefix):
+        k = len(prefix) - 1
+        cur = prefix[-1]
+        if k == n:
+            if cur == lam:
+                out.append(UpDownTableau(prefix))
+            return
+        removable, addable = boundary_boxes(cur)
+        children = ([cur.with_box_added(i, j) for (i, j) in sorted(addable)]
+                    + [cur.with_box_removed(i, j) for (i, j) in sorted(removable)])
+        remaining = n - k - 1
+        for nxt in children:
+            inter = sum(min(a, b) for a, b in zip(nxt.parts, lam.parts))
+            need = nxt.size + lam.size - 2 * inter
+            if need <= remaining and (remaining - need) % 2 == 0:
+                walk(prefix + [nxt])
+
+    walk([EMPTY])
+    return out
+
+
+def test_enumerate_paths_matches_oracle_in_order():
+    for n in range(0, 8):
+        for lp in enumerate_lambda(n):
+            got = enumerate_paths(n, lp.shape)
+            assert [p.steps for p in got] == [p.steps for p in oracle_paths(n, lp.shape)]
+
+
+def test_restriction_shapes_are_truncations():
+    for n in range(1, 8):
+        for lp in enumerate_lambda(n):
+            truncations = {p.truncated(n - 1).shape
+                           for p in enumerate_paths(n, lp.shape)}
+            assert restriction_shapes(n, lp.shape) == truncations
+
+
+def test_trusted_tableaux_equal_validated_ones():
+    for lp in enumerate_lambda(5):
+        for path in enumerate_paths(5, lp.shape):
+            checked = UpDownTableau(list(path))
+            assert checked == path and path == checked
+            assert hash(checked) == hash(path)
+            assert path.truncated(3) == UpDownTableau(path.steps[:4])
+    assert len({*enumerate_paths(4, EMPTY), *oracle_paths(4, EMPTY)}) == 3
+    with pytest.raises(ValueError):
+        UpDownTableau([EMPTY, Partition((2,))])
+
+
+def test_path_cap_refuses_before_walking(monkeypatch):
+    # 15!! = 2,027,025 paths of length 16 return to the empty shape
+    with pytest.raises(ResourceLimit, match="MAX_PATHS"):
+        enumerate_paths(16, EMPTY)
+    with pytest.raises(ResourceLimit):
+        check_level_cap(12)
+    check_level_cap(11)  # 669,351 paths
+    assert enumerate_paths(40, Partition((40,))) == [canonical_path(Partition((40,)))]
+
+
+def test_path_cap_is_exact(monkeypatch):
+    # the count is refused exactly when it exceeds the cap
+    for n in range(1, 7):
+        counts = path_counts(n)
+        for lam, c in counts.items():
+            monkeypatch.setattr(tableaux, "MAX_PATHS", c)
+            assert len(enumerate_paths(n, lam)) == c
+            monkeypatch.setattr(tableaux, "MAX_PATHS", c - 1)
+            with pytest.raises(ResourceLimit):
+                enumerate_paths(n, lam)
+        total = sum(counts.values())
+        monkeypatch.setattr(tableaux, "MAX_PATHS", total)
+        check_level_cap(n)
+        monkeypatch.setattr(tableaux, "MAX_PATHS", total - 1)
+        with pytest.raises(ResourceLimit):
+            check_level_cap(n)

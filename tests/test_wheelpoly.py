@@ -2,13 +2,16 @@
 
 import pytest
 
+from bmwcenter import wheelpoly
+from bmwcenter.cli import run
 from bmwcenter.errors import ResourceLimit
 from bmwcenter.partitions import Partition
-from bmwcenter.scalars import GENERIC, power_regime
+from bmwcenter.scalars import GENERIC, power_regime, wheel_series
 from bmwcenter.contentfn import drunk_content_values
 from bmwcenter.wheelpoly import (MultiLaurent, degree_cap, elementary_wheel,
                                  evaluate, inverse_coeffs, is_symmetric,
-                                 is_wheel, newton_check, power_sum)
+                                 is_wheel, newton_check, power_sum,
+                                 wheel_coefficients)
 
 
 def x(n, i, p=1):
@@ -81,6 +84,8 @@ def test_degree_cap_enforced():
     with pytest.raises(ResourceLimit):
         elementary_wheel(2, degree_cap(2) + 1)
     with pytest.raises(ResourceLimit):
+        wheel_coefficients(2, degree_cap(2) + 1)
+    with pytest.raises(ResourceLimit):
         inverse_coeffs(2, degree_cap(2) + 1)
 
 
@@ -110,3 +115,24 @@ def test_multilaurent_str():
     p = x(2, 0) - MultiLaurent.const(2, 1)
     s = str(p)
     assert "x1^1" in s and "1" in s
+
+
+def test_wheel_series_is_expanded_once_per_order(monkeypatch, capsys):
+    orders = []
+
+    def counted(monomials, one, order):
+        orders.append(order)
+        return wheel_series(monomials, one, order)
+
+    monkeypatch.setattr(wheelpoly, "wheel_series", counted)
+    monkeypatch.setattr(wheelpoly, "_EXPANSIONS", {})
+    assert run(["wheel", "--n", "4", "--order", "6"]) == 0
+    capsys.readouterr()
+    # w_0 ... w_6 once, then the inverse series for the Newton check
+    assert orders == [6, 6]
+    # lower orders read a prefix of the same expansion
+    assert [elementary_wheel(4, k) for k in range(7)] == wheel_coefficients(4, 6)
+    assert wheel_coefficients(4, 2) == wheel_coefficients(4, 6)[:3]
+    assert orders == [6, 6]
+    assert len(wheel_coefficients(4, 8)) == 9
+    assert orders == [6, 6, 8]
