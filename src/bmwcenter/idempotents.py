@@ -66,22 +66,21 @@ def spectral_idempotent(n, lam: Partition, r: Regime = GENERIC) -> SpectralDiago
                 raise ZeroDenominator("colliding contents out of %s" % drunk[k - 1])
             den = den * (target.monomial() - c.monomial())
         nodes_at.append(nodes)
-    # factors[k - 1]: content x at level k -> product of (x - c) over that
-    # level's nodes c, or None where x is a node; filled on first use
-    factors = [dict.fromkeys(nodes) for nodes in nodes_at]
-    edge_values = {}  # (parent, child) -> content value of the moved box
+    factors = {}  # (k, parent, child) -> factor of that edge at level k
 
     def factor(k, a, b):
-        x = edge_values.get((a, b))
-        if x is None:
-            x = edge_values[a, b] = content_value(edge_content(a, b), r)
-        known = factors[k - 1]
-        if x not in known:
-            f = one
-            for c in nodes_at[k - 1]:
-                f = f * (x.monomial() - c.monomial())
-            known[x] = f
-        return known[x]
+        """Product of (x - c) over the level-k nodes c, for the content x of
+        the edge a -> b; None where x is a node."""
+        key = (k, a, b)
+        if key not in factors:
+            x = content_value(edge_content(a, b), r)
+            f = None
+            if x not in nodes_at[k - 1]:
+                f = one
+                for c in nodes_at[k - 1]:
+                    f = f * (x.monomial() - c.monomial())
+            factors[key] = f
+        return factors[key]
 
     values = {}
     for lp in enumerate_lambda(n):
