@@ -2,8 +2,11 @@
 
 Each case runs ``bmwcenter.cli.run`` in-process and compares its stdout
 with ``tests/golden/<name>.out``.  The cases cover every output that prints
-a Laurent polynomial or an expanded wheel series, and the commands that
-walk updown paths (``paths``, ``idempotent``, ``graph``, ``selfcheck``).
+a Laurent polynomial or an expanded wheel series (with the exact Bareiss
+elimination of ``matrix`` and ``family`` at n = 4), the commands that walk
+updown paths (``paths``, ``idempotent``, ``graph``, ``selfcheck``) and the
+classification commands (``lambda``, ``pairs``, ``separate``,
+``semisimple``, ``blocks``, ``verify-blocks``) at n <= 6.
 To record the files again (only when an output is meant to change):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -36,7 +39,22 @@ def _cases():
               ["paths", "--n", "5", "--shape", "2,1"],
               ["idempotent", "--n", "5", "--shape", "1"],
               ["idempotent", "--n", "5", "--shape", "3"]]
+    argvs += [["lambda", "--n", str(n)] for n in (4, 6)]
+    for n in (5, 6):
+        argvs += [[cmd, "--n", str(n), "--t", t]
+                  for cmd in ("separate", "semisimple", "blocks") for t in REGIMES]
+        # pairing and the block theorem need an even-power regime, and the
+        # block theorem a level that is not semisimple there
+        argvs += [["verify-blocks", "--n", str(n), "--t", "q^2"]]
+    argvs += [["pairs", "--n", "5", "--shape", "2,1", "--t", "q^2"],
+              ["pairs", "--n", "6", "--shape", "3,1", "--t", "q^2"]]
     cases = [argv + ["--format", f] for argv in argvs for f in FORMATS]
+    # exact Bareiss elimination: the specialised rank cannot certify these
+    # two matrices, and every family runs it
+    cases += [["matrix", "--n", "4", "--t", "q^0", "--format", "text"],
+              ["matrix", "--n", "4", "--t", "-q^1", "--format", "json"],
+              ["family", "--n", "4", "--t", "1", "--format", "text"],
+              ["family", "--n", "4", "--t", "-q^1", "--format", "json"]]
     return cases + [["graph", "--n", "4", "--format", f]
                     for f in ("text", "json", "dot")]
 
