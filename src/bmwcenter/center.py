@@ -15,7 +15,7 @@ from math import lcm
 
 from .contentfn import drunk_content_values, signature
 from .errors import ResourceLimit, ZeroDenominator
-from .scalars import LaurentQT, Regime, expand_W_series
+from .scalars import LaurentQT, Regime, exact_ratio, expand_W_series
 from .tableaux import enumerate_lambda
 
 
@@ -102,7 +102,7 @@ def divexact(a: LaurentQT, b: LaurentQT):
         da, db = la[0] - lb[0], la[1] - lb[1]
         if da < 0 or db < 0:
             return None
-        coeff = ra[la] / cb
+        coeff = exact_ratio(ra[la], cb)
         quot[(da, db)] = coeff
         for e, c in rb.items():
             k = (e[0] + da, e[1] + db)
@@ -290,10 +290,9 @@ class LaurentFrac:
             num, den = q, LaurentQT.const(1)
         # scale so the denominator's leading term is a plain monomial
         if not den.is_monomial():
-            lead = max(den.terms)
-            c = den.terms[lead]
-            num = num * (1 / c)
-            den = den * (1 / c)
+            c = den.terms[max(den.terms)]
+            num, den = (LaurentQT({e: exact_ratio(v, c) for e, v in p.terms.items()})
+                        for p in (num, den))
         else:
             num = num * den.monomial_inverse()
             den = LaurentQT.const(1)

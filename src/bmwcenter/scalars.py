@@ -6,8 +6,9 @@ Root-of-unity parameters are unrepresentable by construction.
 
 Content values live in the group {+-1} x Z (power regimes, sigma * q^m) or
 in the free abelian group on t and q^2 (generic).  LaurentQT is the sparse
-exact Laurent polynomial over the rationals, in q and t here and in
-x_1 ... x_n as wheelpoly.MultiLaurent; wheel_series expands
+exact Laurent polynomial, in q and t here and in x_1 ... x_n as
+wheelpoly.MultiLaurent; its coefficients are ints, and Fractions only where
+a quotient is not integral (see exact_ratio).  wheel_series expands
 prod(1 - m^-1 T) / prod(1 - m T) over monomials of either ring.
 """
 
@@ -131,8 +132,8 @@ class ContentValue:
     def monomial(self):
         """The value as a LaurentQT monomial."""
         if self.kind == "power":
-            return LaurentQT({(self.b, 0): Fraction(self.a)})
-        return LaurentQT({(self.b, self.a): Fraction(1)})
+            return LaurentQT({(self.b, 0): self.a})
+        return LaurentQT({(self.b, self.a): 1})
 
     def __str__(self):
         if self.kind == "power":
@@ -164,30 +165,47 @@ def value_from_text(text, r: Regime) -> ContentValue:
 # ---------------------------------------------------------------------------
 # sparse Laurent polynomials
 
+
+def exact_ratio(a, b):
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+def _coefficient(v):
+    """v as a coefficient: an int when integral, else a Fraction."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 # arithmetic results get their terms directly, without a pass through __init__
 _new = object.__new__
 
 
 class LaurentQT:
-    """Sparse Laurent polynomial over exact rationals.
+    """Sparse Laurent polynomial with exact coefficients.
 
     ``terms`` maps exponent tuples, all of one length, to nonzero
-    Fractions.  The tuples are (q, t) exponents here; the subclass
-    ``wheelpoly.MultiLaurent`` uses the same arithmetic in x_1 ... x_n.
+    coefficients: ints, or Fractions where a quotient was not integral, so
+    integer inputs keep every result integral.  The tuples are (q, t)
+    exponents here; the subclass ``wheelpoly.MultiLaurent`` uses the same
+    arithmetic in x_1 ... x_n.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
+        self.terms = {k: _coefficient(v) for k, v in (terms or {}).items() if v}
 
     @classmethod
     def const(cls, c):
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, qexp, texp=0, coeff=1):
-        return cls({(qexp, texp): Fraction(coeff)})
+        return cls({(qexp, texp): coeff})
 
     @property
     def is_zero(self):
@@ -271,7 +289,8 @@ class LaurentQT:
         """The k-th power of a monomial, for any integer k."""
         (e, c), = self.terms.items()
         r = _new(type(self))
-        r.terms = {tuple(k * x for x in e): c ** k}
+        c = c ** k if k >= 0 else exact_ratio(1, c ** -k)
+        r.terms = {tuple(k * x for x in e): c}
         return r
 
     def monomial_inverse(self):
@@ -321,7 +340,7 @@ def quantum_integer(N: int) -> LaurentQT:
         return LaurentQT()
     if N < 0:
         return -quantum_integer(-N)
-    return LaurentQT({(e, 0): Fraction(1) for e in range(N - 1, -N - 1, -2)})
+    return LaurentQT({(e, 0): 1 for e in range(N - 1, -N - 1, -2)})
 
 
 def delta(r: Regime):

@@ -9,8 +9,6 @@ by rational-function normalization.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ResourceLimit
 from .scalars import LaurentQT, Regime, wheel_series
 
@@ -29,13 +27,13 @@ class MultiLaurent(LaurentQT):
 
     @classmethod
     def const(cls, n, c):
-        return cls(n, {(0,) * n: Fraction(c)})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, n, i, power=1):
         exps = [0] * n
         exps[i] = power
-        return cls(n, {tuple(exps): Fraction(1)})
+        return cls(n, {tuple(exps): 1})
 
     @property
     def n(self):
