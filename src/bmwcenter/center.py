@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, isqrt, lcm, prod
 
 from .contentfn import drunk_content_values, signature
 from .errors import ResourceLimit, ZeroDenominator
@@ -114,13 +114,6 @@ def divexact(a: LaurentQT, b: LaurentQT):
     return LaurentQT({(x + qa - qb, y + ta - tb): c for (x, y), c in quot.items()})
 
 
-def _exact_quotient(a, b):
-    q = divexact(a, b)
-    if q is None:
-        raise ZeroDenominator("Bareiss step: %s does not divide %s" % (b, a))
-    return q
-
-
 def _eliminate(m, quotient, weight):
     """Fraction-free forward elimination of the rows of m, in place.
 
@@ -157,13 +150,141 @@ def _eliminate(m, quotient, weight):
     return pivots
 
 
-def _terms(p):
-    return len(p.terms)
+class _Kronecker:
+    """Kronecker substitution of a LaurentQT matrix's minors into ints.
+
+    Row i is multiplied by u_i = d_i q^-a_i t^-b_i, with (a_i, b_i) its
+    lowest exponents and d_i the lcm of its coefficient denominators, so
+    every entry becomes an integer polynomial in y = q^g and z = t^h (g, h
+    the gcds of the shifted exponents).  y^a z^b maps to x^(a + D b), and
+    the polynomial is evaluated at x = 2^s with balanced digits in
+    [-2^(s-1), 2^(s-1)).  D exceeds the y-degree, and 2^(s-1) the
+    coefficients (Hadamard's bound over the torus), of every minor on at
+    most k = min(rows, cols) rows; so every Bareiss entry, a minor of the
+    scaled matrix, packs to an int that unpacks to it.  Substitution is a
+    ring homomorphism, so the products and differences in between are
+    exact whatever their size.
+    """
+
+    def __init__(self, matrix):
+        self.scales = []  # (a_i, b_i, d_i) per row
+        spans = []  # per entry of u_i p: (q span, t span, l1 norm)
+        g = h = 0
+        for row in matrix:
+            exps = [e for p in row for e in p.terms] or [(0, 0)]
+            a = min(e for e, _ in exps)
+            b = min(f for _, f in exps)
+            d = lcm(*(c.denominator for p in row for c in p.terms.values()))
+            g = gcd(g, *(e - a for e, _ in exps))
+            h = gcd(h, *(f - b for _, f in exps))
+            self.scales.append((a, b, d))
+            spans.append([(max(e for e, _ in p.terms) - a, max(f for _, f in p.terms) - b,
+                           int(sum(abs(c) for c in p.terms.values()) * d))
+                          if p else (0, 0, 0) for p in row])
+        g, h = g or 1, h or 1
+        self.g, self.h = g, h
+        k = min(len(matrix), len(matrix[0]) if matrix else 0)
+
+        def least(entry, per_line, total):
+            """A bound over the minors on at most k rows: total of the k
+            largest per-line values, over rows or over columns, whichever
+            is smaller."""
+            return min(total(sorted((per_line(map(entry, line)) for line in lines),
+                                    reverse=True)[:k])
+                       for lines in (spans, list(zip(*spans))))
+
+        ydeg = least(lambda x: x[0] // g, max, sum)
+        zdeg = least(lambda x: x[1] // h, max, sum)
+        norm2 = least(lambda x: x[2] ** 2, sum, lambda v: prod(max(x, 1) for x in v))
+        self.D = ydeg + 1
+        slots = ydeg + self.D * zdeg + 1
+        self.s = s = (isqrt(norm2) + 1).bit_length() + 1
+        ones = ((1 << s * slots) - 1) // ((1 << s) - 1)
+        self.high = ones << (s - 1)  # 2^(s-1) in every slot
+        self.low = self.high - ones  # 2^(s-1) - 1 in every slot
+        self.slots = slots
+
+    def pack(self, p, i):
+        """The int image of u_i p."""
+        a, b, d = self.scales[i]
+        g, h, D, s = self.g, self.h, self.D, self.s
+        return sum(int(c * d) << s * ((e - a) // g + D * ((f - b) // h))
+                   for (e, f), c in p.terms.items())
+
+    def terms(self, x):
+        """Number of terms of the polynomial packed in x."""
+        y = (x + self.high) ^ self.high  # nonzero digit <-> nonzero slot
+        return ((((y & self.low) + self.low) | y) & self.high).bit_count()
+
+    def unpack(self, x, rows):
+        """The LaurentQT packed in x, divided by the u_i of the given rows."""
+        a = sum(self.scales[i][0] for i in rows)
+        b = sum(self.scales[i][1] for i in rows)
+        d = prod(self.scales[i][2] for i in rows)
+        s = self.s
+        width = s * min(self.slots, abs(x).bit_length() // s + 2)  # zeros above
+        bits = format(x + self.high & (1 << width) - 1, "b").rjust(width, "0")
+        zero = "1" + "0" * (s - 1)
+        terms = {}
+        for k in range(width // s):
+            digit = bits[width - s * (k + 1):width - s * k]
+            if digit != zero:
+                y, z = k % self.D, k // self.D
+                terms[(a + self.g * y, b + self.h * z)] = exact_ratio(
+                    int(digit, 2) - (1 << s - 1), d)
+        return LaurentQT(terms)
+
+
+class _ExactQuotient:
+    """a / b for integers b must divide, by a 2-adic inverse of b.
+
+    Bareiss divides every entry of a step by the same pivot, so the odd
+    part of b is inverted once per pivot, mod 2^L by Newton lifting (L
+    doubled as the quotients grow).  A quotient is then the product of
+    a's low bits with that inverse, and one more product checks it
+    exactly, where long division would take quadratic time.
+    """
+
+    def __init__(self):
+        self.b = None
+
+    def __call__(self, a, b):
+        if b is not self.b:
+            self.b = b
+            self.shift = (b & -b).bit_length() - 1
+            self.odd = b >> self.shift
+            self.inv, self.bits = 1, 1  # odd * inv = 1 mod 2^bits
+        n = max(a.bit_length() - b.bit_length() + 2, 1)  # |a / b| < 2^(n-1)
+        while self.bits < n:
+            self.bits *= 2
+            self.inv = self.inv * (2 - self.odd * self.inv) & ((1 << self.bits) - 1)
+        mask = (1 << n) - 1
+        q = ((a >> self.shift) & mask) * (self.inv & mask) & mask
+        if q >> (n - 1):
+            q -= 1 << n
+        if q * b != a:
+            raise ZeroDenominator("Bareiss step: inexact quotient")
+        return q
+
+
+def _packed_elimination(matrix):
+    """_eliminate over the Kronecker images of matrix's rows.
+
+    Returns the pivot columns, the packing, the packed rows in their final
+    order and, for each, the index of the matrix row it came from.  Row i
+    of the result, at and after its pivot, carries the scale factors u of
+    rows 0 ... i.
+    """
+    codec = _Kronecker(matrix)
+    rows = [[codec.pack(p, i) for p in row] for i, row in enumerate(matrix)]
+    origin = {id(row): i for i, row in enumerate(rows)}
+    pivots = _eliminate(rows, _ExactQuotient(), codec.terms)
+    return pivots, codec, rows, [origin[id(row)] for row in rows]
 
 
 def bareiss_rank(matrix):
     """Rank of a LaurentQT matrix by fraction-free elimination."""
-    return len(_eliminate([list(row) for row in matrix], _exact_quotient, _terms))
+    return len(_packed_elimination(matrix)[0])
 
 
 # evaluation points for the specialized computations, tried in this order
@@ -353,14 +474,17 @@ def separating_family(n, r: Regime):
     aug = [[matrix[rows[i]][j] for j in range(m)]
            + [LaurentQT.const(1 if i == k else 0) for k in range(m)]
            for i in range(m)]
-    if _eliminate(aug, _exact_quotient, _terms) != list(range(m)):
+    pivots, codec, packed, origin = _packed_elimination(aug)
+    if pivots != list(range(m)):
         raise ZeroDenominator("selected rows are not independent")
     zero = LaurentFrac.const(0)
     family = []
     for i in range(m):
+        scaled = origin[:i + 1]
+        den = codec.unpack(packed[i][i], scaled)
         full = [zero] * len(matrix)
         for k in range(m):
-            full[rows[k]] = LaurentFrac(aug[i][m + k], aug[i][i])
+            full[rows[k]] = LaurentFrac(codec.unpack(packed[i][m + k], scaled), den)
         family.append(full)
     return reps, family, K
 

@@ -329,6 +329,8 @@ COMMANDS = {
 }
 
 NEEDS_SHAPE = {"paths", "contents", "signature", "pairs", "idempotent"}
+# the commands that read --order, with its default (None: chosen adaptively)
+ORDERED = {"wheel": 4, "matrix": None}
 
 
 def build_parser():
@@ -343,8 +345,8 @@ def build_parser():
         p.add_argument("--t", default="generic",
                        help='regime: "generic", "q^N", "-q^N" or "1"')
         p.add_argument("--shape", help='partition, e.g. "4,2,2" ("0" for empty)')
-        p.add_argument("--order", type=int,
-                       default=4 if name == "wheel" else None)
+        if name in ORDERED:
+            p.add_argument("--order", type=int, default=ORDERED[name])
         formats = ("text", "json", "dot") if name == "graph" else ("text", "json")
         p.add_argument("--format", choices=formats, default="text")
     return parser
@@ -367,6 +369,8 @@ def run(argv):
     args = parser.parse_args(merged)
     if args.n < 0:
         parser.error("--n must be non-negative")
+    if getattr(args, "order", None) is not None and args.order < 0:
+        parser.error("--order must be non-negative")
     try:
         args.regime = regime_from_text(args.t)
         if args.command in NEEDS_SHAPE:

@@ -159,13 +159,52 @@ def test_bareiss_rank_of_row_combinations():
         assert bareiss_rank(m) == specialized_rank_oracle(m) == rank
 
 
+def dict_quotient(a, b):
+    q = divexact(a, b)
+    if q is None:
+        raise ZeroDenominator("Bareiss step: %s does not divide %s" % (b, a))
+    return q
+
+
+def dict_eliminate(matrix):
+    """The oracle: the one elimination kernel run directly over LaurentQT
+    entries, with divexact as the quotient and the term count as weight.
+    Returns the pivots, the rows in their final order and the index of the
+    matrix row each came from."""
+    rows = [list(row) for row in matrix]
+    ids = {id(row): i for i, row in enumerate(rows)}
+    pivots = center._eliminate(rows, dict_quotient, lambda p: len(p.terms))
+    return pivots, rows, [ids[id(row)] for row in rows]
+
+
+def packed_echelon(matrix):
+    """Pivots, row origins and unpacked rows of the packed elimination; the
+    rows are the pivot rows, unpacked at and after their pivots (the
+    entries callers read) and None before them."""
+    pivots, codec, rows, origin = center._packed_elimination(matrix)
+    read = [[codec.unpack(x, origin[:i + 1]) if j >= pivots[i] else None
+             for j, x in enumerate(row)] for i, row in enumerate(rows[:len(pivots)])]
+    return pivots, origin, read
+
+
+def assert_packed_matches_dict(matrix):
+    """Same pivots, same pivot rows in the same order, same entries read."""
+    pivots, origin, read = packed_echelon(matrix)
+    want_pivots, want_rows, want_origin = dict_eliminate(matrix)
+    assert pivots == want_pivots
+    assert origin[:len(pivots)] == want_origin[:len(pivots)]
+    for got, want, c in zip(read, want_rows, pivots):
+        assert got[c:] == want[c:]
+    return len(pivots)
+
+
 def test_elimination_skips_a_column_without_pivot():
     one = LaurentQT.const(1)
     q = LaurentQT.monomial(1)
     # after the first pivot the middle column is zero below row 0
     m = [[one, q, one], [q, q * q, one + q]]
-    assert center._eliminate([list(r) for r in m], center._exact_quotient,
-                             center._terms) == [0, 2]
+    assert dict_eliminate(m)[0] == [0, 2]
+    assert packed_echelon(m)[0] == [0, 2]
     assert bareiss_rank(m) == 2
     assert matrix_rank(m) == 2
 
@@ -176,8 +215,12 @@ def test_elimination_pivots_on_the_sparsest_entry_first_on_ties():
     t = LaurentQT.monomial(0, 1)
     dense, first, second = [one + q, one], [q, one], [t, q]
     m = [dense, first, second]
-    assert center._eliminate(m, center._exact_quotient, center._terms) == [0, 1]
+    assert center._eliminate(m, dict_quotient, lambda p: len(p.terms)) == [0, 1]
     assert m[0] is first
+    # the packed kernel counts terms the same way: in column 1 the dense
+    # row is left with -1 and the last one with q^2 - t
+    pivots, origin, _ = packed_echelon([dense, first, second])
+    assert pivots == [0, 1] and origin[:2] == [1, 0]
 
 
 def test_inexact_quotient_raises():
@@ -185,7 +228,55 @@ def test_inexact_quotient_raises():
     one = LaurentQT.const(1)
     assert divexact(q + one + one, q + one) is None
     with pytest.raises(ZeroDenominator):
-        center._exact_quotient(q + one + one, q + one)
+        dict_quotient(q + one + one, q + one)
+    codec = center._Kronecker([[q + one + one, q + one]])
+    quotient = center._ExactQuotient()
+    with pytest.raises(ZeroDenominator):
+        quotient(codec.pack(q + one + one, 0), codec.pack(q + one, 0))
+    # an odd and an even divisor, of either sign, divide exactly
+    for b in (7, -7, 12, -12, 3 << 200, -(5 << 70)):
+        for c in (0, 1, -1, 123456789 << 90, -(3 ** 300)):
+            assert quotient(b * c, b) == c
+        with pytest.raises(ZeroDenominator):
+            quotient(b * 5 + 1, b)
+
+
+def random_matrix(rng, rows, cols, span, bivariate):
+    def entry():
+        p = random_poly(rng, nterms=rng.randint(0, 3), span=span)
+        return p if bivariate else p.map_exponents(lambda e: (e[0], 0))
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("bivariate", [False, True])
+def test_packed_elimination_matches_dict_kernel(bivariate):
+    rng = random.Random(101 + bivariate)
+    ranks = set()
+    for trial in range(30):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = random_matrix(rng, rows, cols, 3, bivariate)
+        if trial % 2:
+            # rank deficient: append combinations of the rows
+            m = m + [random_combination(rng, m) for _ in range(rng.randint(1, 2))]
+            rng.shuffle(m)
+        ranks.add((assert_packed_matches_dict(m), min(len(m), cols)))
+    assert any(r < k for r, k in ranks) and any(r == k for r, k in ranks)
+
+
+def test_packed_elimination_of_evaluation_matrices():
+    for n, r in ((3, GENERIC), (3, power_regime(-1, 1)), (4, power_regime(1, 0)),
+                 (4, power_regime(1, 2))):
+        matrix, _, _ = adaptive_matrix(n, r)
+        assert_packed_matches_dict(matrix)
+        assert bareiss_rank(matrix) == len(dict_eliminate(matrix)[0])
+
+
+def test_packed_elimination_of_rational_entries():
+    rng = random.Random(7)
+    for _ in range(10):
+        m = [[p * Fraction(1, rng.randint(1, 6)) for p in row]
+             for row in random_matrix(rng, 3, 3, 2, True)]
+        assert_packed_matches_dict(m)
 
 
 def greedy_rows_oracle(matrix, m):
@@ -297,6 +388,27 @@ def test_laurent_frac_arithmetic():
         a / LaurentFrac.const(0)
     assert LaurentFrac.const(1) != 1
     assert LaurentFrac.__eq__(LaurentFrac.const(1), one) is NotImplemented
+
+
+def test_laurent_frac_coefficients_stay_exact():
+    q = LaurentQT.monomial(1)
+    one = LaurentQT.const(1)
+    # scaling by the leading coefficient 2 of the denominator: Fractions
+    # exactly where the quotient is not integral
+    frac = LaurentFrac(q + one, q * 2 + one * 3)
+    assert frac.num.terms == {(1, 0): Fraction(1, 2), (0, 0): Fraction(1, 2)}
+    assert frac.den.terms == {(1, 0): 1, (0, 0): Fraction(3, 2)}
+    assert type(frac.den.terms[(1, 0)]) is int
+    # an integral quotient stays integral
+    frac = LaurentFrac((q + one) * (q * 2 - one), q * 2 - one)
+    assert frac.num == q + one and {type(c) for c in frac.num.terms.values()} == {int}
+    assert divexact(q * 3 + one * 3, q + one) == LaurentQT.const(3)
+    assert divexact(q + one, q * 2 + one * 2) == LaurentQT.const(Fraction(1, 2))
+    for n, r in ((3, GENERIC), (3, power_regime(-1, 1)), (4, power_regime(1, 0))):
+        for combo in separating_family(n, r)[1]:
+            for c in combo:
+                for p in (c.num, c.den):
+                    assert all(type(x) in (int, Fraction) for x in p.terms.values())
 
 
 def test_separating_family_unitriangular():

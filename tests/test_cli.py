@@ -180,6 +180,27 @@ def test_removed_options_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["separate", "--n", "3", "--order", "2"],
+    ["family", "--n", "2", "--order", "3"],
+    ["wheel", "--n", "2", "--order", "-1"],
+    ["matrix", "--n", "3", "--order", "-2"],
+])
+def test_order_is_only_for_wheel_and_matrix(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("non-negative" in err) == (argv[0] in ("wheel", "matrix"))
+
+
+def test_order_zero_is_accepted(capsys):
+    code, out, _ = invoke(capsys, "wheel", "--n", "2", "--order", "0")
+    assert code == 0 and out.startswith("w_0 = 1\n")
+    code, out, _ = invoke(capsys, "matrix", "--n", "2", "--order", "0")
+    assert code == 0 and "rank: " in out
+
+
 def test_negative_level_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["separate", "--n", "-3"])

@@ -6,6 +6,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from bmwcenter import center  # noqa: E402
+from bmwcenter.errors import ZeroDenominator  # noqa: E402
+from bmwcenter.scalars import LaurentQT  # noqa: E402
 from bmwcenter.tableaux import (UpDownTableau, enumerate_lambda,  # noqa: E402
                                 enumerate_paths, path_counts)
 
@@ -23,3 +26,37 @@ def test_path_counts_match_enumeration(case):
     for path in paths:
         assert path.shape == lam and path.level == n
         assert UpDownTableau(path.steps) == path  # validates the steps
+
+
+def _polys(t_exponents):
+    exps = st.tuples(st.integers(-8, 8), t_exponents)
+    return st.dictionaries(exps, st.integers(-60, 60), max_size=8).map(LaurentQT)
+
+
+# univariate (t exponent 0, as in the power regimes) or bivariate
+POLY_PAIRS = st.sampled_from([st.just(0), st.integers(-4, 4)]).flatmap(
+    lambda ts: st.tuples(_polys(ts), _polys(ts)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(POLY_PAIRS)
+def test_packing_round_trips_and_multiplies(pair):
+    a, b = pair
+    zero = LaurentQT()
+    # a * b is a 2 x 2 minor of the matrix, so its product packs within bounds
+    codec = center._Kronecker([[a, zero], [zero, b]])
+    x, y = codec.pack(a, 0), codec.pack(b, 1)
+    assert codec.unpack(x, [0]) == a and codec.unpack(y, [1]) == b
+    assert codec.terms(x) == len(a.terms)
+    assert codec.unpack(x * y, [0, 1]) == a * b
+    assert codec.terms(x * y) == len((a * b).terms)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(), st.integers().filter(bool), st.integers(0, 10 ** 6))
+def test_exact_quotient_of_integers(a, b, r):
+    quotient = center._ExactQuotient()
+    assert quotient(a * b, b) == a
+    if abs(b) > 1:
+        with pytest.raises(ZeroDenominator):
+            quotient(a * b + 1 + r % (abs(b) - 1), b)

@@ -83,6 +83,31 @@ def test_laurent_arithmetic():
     assert LaurentQT.const(Fraction(1, 2)) * 2 == LaurentQT.const(1)
 
 
+def coefficient_types(*polys):
+    return {type(c) for p in polys for c in p.terms.values()}
+
+
+def test_coefficients_are_ints_or_fractions():
+    # integer inputs keep every result integral
+    q, t = LaurentQT.monomial(1), LaurentQT.monomial(0, 1)
+    p = (q + t + LaurentQT.const(3)) * (q - t) - q.pow(-3) * 5
+    assert coefficient_types(p, quantum_integer(5), delta(power_regime(1, 4))) == {int}
+    assert coefficient_types(*expand_W_series(
+        [content_value(Content(ADD, i), GENERIC) for i in range(-2, 3)], 6)) == {int}
+    # negative powers of a monomial: ints for +-1, Fractions otherwise
+    for c in (1, -1, 2, -3):
+        m = LaurentQT.monomial(2, -1, c)
+        for k in range(-3, 4):
+            want = int if k >= 0 or c in (1, -1) else Fraction
+            assert coefficient_types(m.pow(k)) == {want}
+            assert m.pow(k) * m.pow(-k) == LaurentQT.const(1)
+    # constructors take exact values and never keep a float
+    assert LaurentQT.const(Fraction(4, 2)).terms == {(0, 0): 2}
+    assert coefficient_types(LaurentQT.const(Fraction(4, 2))) == {int}
+    assert LaurentQT.const(0.5).terms == {(0, 0): Fraction(1, 2)}
+    assert coefficient_types(LaurentQT({(0, 0): 2.0})) == {int}
+
+
 def test_laurent_str():
     p = LaurentQT.monomial(2) - LaurentQT.const(1)
     assert str(p) == "1 - q^2" or str(p) == "- 1 + q^2"
