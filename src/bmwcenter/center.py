@@ -185,17 +185,18 @@ class _Kronecker:
         self.g, self.h = g, h
         k = min(len(matrix), len(matrix[0]) if matrix else 0)
 
-        def least(entry, per_line, total):
-            """A bound over the minors on at most k rows: total of the k
-            largest per-line values, over rows or over columns, whichever
-            is smaller."""
-            return min(total(sorted((per_line(map(entry, line)) for line in lines),
-                                    reverse=True)[:k])
-                       for lines in (spans, list(zip(*spans))))
+        def top(values):
+            return sorted(values, reverse=True)[:k]
 
-        ydeg = least(lambda x: x[0] // g, max, sum)
-        zdeg = least(lambda x: x[1] // h, max, sum)
-        norm2 = least(lambda x: x[2] ** 2, sum, lambda v: prod(max(x, 1) for x in v))
+        # a minor on at most k rows is bounded through its rows and,
+        # transposed, through its columns; each bound takes the k largest
+        lines = (spans, list(zip(*spans)))
+        ydeg = min(sum(top(max((x[0] for x in line), default=0) // g for line in ls))
+                   for ls in lines)
+        zdeg = min(sum(top(max((x[1] for x in line), default=0) // h for line in ls))
+                   for ls in lines)
+        norm2 = min(prod(top(max(sum(x[2] ** 2 for x in line), 1) for line in ls))
+                    for ls in lines)
         self.D = ydeg + 1
         slots = ydeg + self.D * zdeg + 1
         self.s = s = (isqrt(norm2) + 1).bit_length() + 1

@@ -268,7 +268,6 @@ def test_packed_elimination_of_evaluation_matrices():
                  (4, power_regime(1, 2))):
         matrix, _, _ = adaptive_matrix(n, r)
         assert_packed_matches_dict(matrix)
-        assert bareiss_rank(matrix) == len(dict_eliminate(matrix)[0])
 
 
 def test_packed_elimination_of_rational_entries():
