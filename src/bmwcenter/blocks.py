@@ -10,7 +10,7 @@ from __future__ import annotations
 from .center import separation_classes
 from .errors import LevelMismatch, RegimeMismatch
 from .partitions import Partition, intersection, skew_datum
-from .scalars import ADD, Content, Regime, content_value
+from .scalars import Regime
 from .tableaux import LabeledPartition, enumerate_lambda
 
 
@@ -34,35 +34,23 @@ def is_semisimple(n, r: Regime) -> bool:
 def check_admissible(lam: Partition, f, mu: Partition, r: Regime):
     """Conditions failed by the pair, empty when lam is (f, mu)-admissible.
 
-    (1) mu contained in lam with |lam/mu| = 2f; (2) every skew diagonal is
-    value-paired with some skew diagonal of equal multiplicity; (3)/(4)
-    parity constraints when a skew content equals q or -q^-1 and pairs with
-    its neighbour.
+    (1) mu contained in lam with |lam/mu| = 2f; (2) every skew diagonal i
+    has a skew mate of equal multiplicity, which can only be -N - i since
+    c(i) c(j) = q^(2N + 2i + 2j) at t = eps q^N; (3)/(4) parity constraints
+    when a skew content equals q or -q^-1, which always pairs with its
+    neighbour below or above.
     """
     if r.is_generic:
         raise RegimeMismatch("admissibility needs a power regime")
-    failed = []
     if not lam.contains(mu) or lam.size - mu.size != 2 * f or f < 0:
         return [1]
-    if lam == mu:
-        return []
+    eps, N = r.sign, r.exponent
     sd = skew_datum(lam, mu)
-    value = {i: content_value(Content(ADD, i), r) for i in sd.diagonals()}
-    for i in sd.diagonals():
-        if not any((value[i] * value[j]).is_identity
-                   and sd.multiplicity(i) == sd.multiplicity(j)
-                   for j in sd.diagonals()):
-            if 2 not in failed:
-                failed.append(2)
-    q_value = (1, 1)  # content equal to q, as (sign, exponent)
-    minus_qinv = (-1, -1)
-    for i in sd.diagonals():
-        v = value[i]
-        if ((v.a, v.b) == q_value and (value[i] * value.get(i - 1, v)).is_identity
-                and sd.multiplicity(i - 1) and sd.multiplicity(i) % 2):
+    failed = [2] if any(sd[i] != sd.get(-N - i) for i in sd) else []
+    for i in sorted(sd):
+        if eps == 1 and N + 2 * i == 1 and sd.get(i - 1) and sd[i] % 2:
             failed.append(3)
-        if ((v.a, v.b) == minus_qinv and (value[i] * value.get(i + 1, v)).is_identity
-                and sd.multiplicity(i + 1) and sd.multiplicity(i) % 2):
+        if eps == -1 and N + 2 * i == -1 and sd.get(i + 1) and sd[i] % 2:
             failed.append(4)
     return failed
 

@@ -31,14 +31,14 @@ def _path_text(path):
     return " -> ".join(text_of_partition(s) for s in path)
 
 
-def _emit(args, payload):
+def _emit(payload):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def cmd_lambda(args, out):
     lps = tableaux.enumerate_lambda(args.n)
     if args.format == "json":
-        _emit(args, [_lp_json(lp) for lp in lps])
+        _emit([_lp_json(lp) for lp in lps])
     else:
         for lp in lps:
             out("(%s, %d)" % (text_of_partition(lp.shape), lp.defect))
@@ -48,7 +48,7 @@ def cmd_lambda(args, out):
 def cmd_paths(args, out):
     paths = tableaux.enumerate_paths(args.n, args.shape)
     if args.format == "json":
-        _emit(args, [[text_of_partition(s) for s in p] for p in paths])
+        _emit([[text_of_partition(s) for s in p] for p in paths])
     else:
         for p in paths:
             out(_path_text(p))
@@ -60,10 +60,10 @@ def cmd_contents(args, out):
     mult = contentfn.drunk_contents(args.n, args.shape)
     items = sorted(mult.items(), key=lambda cm: (cm[0].s, cm[0].i))
     if args.format == "json":
-        _emit(args, [{"direction": "add" if c.s == ADD else "remove",
-                      "diagonal": c.i, "multiplicity": m,
-                      "value": str(content_value(c, args.regime))}
-                     for c, m in items])
+        _emit([{"direction": "add" if c.s == ADD else "remove",
+                "diagonal": c.i, "multiplicity": m,
+                "value": str(content_value(c, args.regime))}
+               for c, m in items])
     else:
         for c, m in items:
             out("%s x %d = %s" % (c, m, content_value(c, args.regime)))
@@ -76,7 +76,7 @@ def cmd_wheel(args, out):
             for k, w in enumerate(wheelpoly.wheel_coefficients(n, K))]
     newton = wheelpoly.newton_check(n, K)
     if args.format == "json":
-        _emit(args, {"n": n, "order": K, "rows": rows, "newton": newton})
+        _emit({"n": n, "order": K, "rows": rows, "newton": newton})
     else:
         for r in rows:
             out("w_%d = %s" % (r["k"], r["w"]))
@@ -88,9 +88,9 @@ def cmd_wheel(args, out):
 def cmd_signature(args, out):
     sig = contentfn.signature(args.n, args.shape, args.regime)
     if args.format == "json":
-        _emit(args, {"n": args.n, "shape": text_of_partition(args.shape),
-                     "regime": str(args.regime),
-                     "signature": contentfn.signature_json(sig)})
+        _emit({"n": args.n, "shape": text_of_partition(args.shape),
+               "regime": str(args.regime),
+               "signature": contentfn.signature_json(sig)})
     else:
         out(str(sig))
     return 0
@@ -112,9 +112,9 @@ def _pair_letters(pairs):
 def cmd_pairs(args, out):
     pairs = contentfn.pairing_set(args.n, args.shape, args.regime)
     if args.format == "json":
-        _emit(args, {"n": args.n, "shape": text_of_partition(args.shape),
-                     "regime": str(args.regime),
-                     "paired": sorted(pairs.paired)})
+        _emit({"n": args.n, "shape": text_of_partition(args.shape),
+               "regime": str(args.regime),
+               "paired": sorted(pairs.paired)})
         return 0
     out("P = %s" % pairs)
     orbit = _pair_letters(pairs)
@@ -132,12 +132,12 @@ def cmd_separate(args, out):
     pred = center_mod.theorem1_predicate(args.n, args.regime)
     ss = blocks_mod.is_semisimple(args.n, args.regime)
     if args.format == "json":
-        _emit(args, {"n": args.n, "regime": str(args.regime),
-                     "classes": [[_lp_json(lp) for lp in c] for c in rep.classes],
-                     "separates": rep.separates,
-                     "witnesses": [[_lp_json(a), _lp_json(b)]
-                                   for a, b in rep.witnesses],
-                     "semisimple": ss, "predicted": pred})
+        _emit({"n": args.n, "regime": str(args.regime),
+               "classes": [[_lp_json(lp) for lp in c] for c in rep.classes],
+               "separates": rep.separates,
+               "witnesses": [[_lp_json(a), _lp_json(b)]
+                             for a, b in rep.witnesses],
+               "semisimple": ss, "predicted": pred})
         return 0
     out("classes: %d / %d" % (len(rep.classes), sum(len(c) for c in rep.classes)))
     for c in rep.classes:
@@ -162,11 +162,11 @@ def cmd_matrix(args, out):
         matrix, rank, K = center_mod.adaptive_matrix(args.n, args.regime)
     labels = center_mod.matrix_row_labels(K)
     if args.format == "json":
-        _emit(args, {"n": args.n, "regime": str(args.regime), "order": K,
-                     "rank": rank,
-                     "rows": [{"e_power": j, "w_index": k,
-                               "entries": [str(x) for x in row]}
-                              for (j, k), row in zip(labels, matrix)]})
+        _emit({"n": args.n, "regime": str(args.regime), "order": K,
+               "rank": rank,
+               "rows": [{"e_power": j, "w_index": k,
+                         "entries": [str(x) for x in row]}
+                        for (j, k), row in zip(labels, matrix)]})
         return 0
     for (j, k), row in zip(labels, matrix):
         name = "w_%d" % k if j == 0 else "e^%+d*w_%d" % (j, k)
@@ -179,13 +179,13 @@ def cmd_family(args, out):
     reps, family, K = center_mod.separating_family(args.n, args.regime)
     labels = center_mod.matrix_row_labels(K)
     if args.format == "json":
-        _emit(args, {"n": args.n, "regime": str(args.regime), "order": K,
-                     "representatives": [_lp_json(lp) for lp in reps],
-                     "combinations": [[{"e_power": j, "w_index": k,
-                                        "coefficient": str(c)}
-                                       for (j, k), c in zip(labels, combo)
-                                       if not c.is_zero]
-                                      for combo in family]})
+        _emit({"n": args.n, "regime": str(args.regime), "order": K,
+               "representatives": [_lp_json(lp) for lp in reps],
+               "combinations": [[{"e_power": j, "w_index": k,
+                                  "coefficient": str(c)}
+                                 for (j, k), c in zip(labels, combo)
+                                 if not c.is_zero]
+                                for combo in family]})
         return 0
     for lp, combo in zip(reps, family):
         out("p[%s]:" % lp)
@@ -199,7 +199,7 @@ def cmd_family(args, out):
 def cmd_semisimple(args, out):
     ss = blocks_mod.is_semisimple(args.n, args.regime)
     if args.format == "json":
-        _emit(args, {"n": args.n, "regime": str(args.regime), "semisimple": ss})
+        _emit({"n": args.n, "regime": str(args.regime), "semisimple": ss})
     else:
         out("true" if ss else "false")
     return 0
@@ -208,10 +208,10 @@ def cmd_semisimple(args, out):
 def cmd_blocks(args, out):
     rep = blocks_mod.block_partition(args.n, args.regime)
     if args.format == "json":
-        _emit(args, {"n": args.n, "regime": str(args.regime),
-                     "semisimple": blocks_mod.is_semisimple(args.n, args.regime),
-                     "blocks": [[_lp_json(lp) for lp in c] for c in rep.blocks],
-                     "agrees_with_W": rep.agrees_with_W})
+        _emit({"n": args.n, "regime": str(args.regime),
+               "semisimple": blocks_mod.is_semisimple(args.n, args.regime),
+               "blocks": [[_lp_json(lp) for lp in c] for c in rep.blocks],
+               "agrees_with_W": rep.agrees_with_W})
         return 0
     for c in rep.blocks:
         out("  ".join(str(lp) for lp in c))
@@ -224,7 +224,7 @@ def cmd_blocks(args, out):
 def cmd_verify_blocks(args, out):
     ok = blocks_mod.verify_block_theorem(args.n, args.regime)
     if args.format == "json":
-        _emit(args, {"n": args.n, "regime": str(args.regime), "verified": ok})
+        _emit({"n": args.n, "regime": str(args.regime), "verified": ok})
     else:
         out("verified" if ok else "MISMATCH")
     return 0 if ok else 1
@@ -235,10 +235,10 @@ def cmd_idempotent(args, out):
     sel = diag.selected()
     ok = (len(sel) == 1 and sel[0] == tableaux.drunk_path(args.n, args.shape))
     if args.format == "json":
-        _emit(args, {"n": args.n, "lambda": text_of_partition(args.shape),
-                     "selected_path": [text_of_partition(s) for s in sel[0]]
-                     if sel else [],
-                     "all_zero_elsewhere": ok})
+        _emit({"n": args.n, "lambda": text_of_partition(args.shape),
+               "selected_path": [text_of_partition(s) for s in sel[0]]
+               if sel else [],
+               "all_zero_elsewhere": ok})
         return 0
     for p in sel:
         out("selected: %s" % _path_text(p))
@@ -252,13 +252,13 @@ def cmd_graph(args, out):
         return 0
     levels, edges = tableaux.branching_graph(args.n, args.regime)
     if args.format == "json":
-        _emit(args, {"n": args.n, "regime": str(args.regime),
-                     "levels": [[text_of_partition(s) for s in lev]
-                                for lev in levels],
-                     "edges": [{"level": k,
-                                "parent": text_of_partition(a),
-                                "child": text_of_partition(b),
-                                "value": str(v)} for k, a, b, v in edges]})
+        _emit({"n": args.n, "regime": str(args.regime),
+               "levels": [[text_of_partition(s) for s in lev]
+                          for lev in levels],
+               "edges": [{"level": k,
+                          "parent": text_of_partition(a),
+                          "child": text_of_partition(b),
+                          "value": str(v)} for k, a, b, v in edges]})
         return 0
     for k, a, b, v in edges:
         out("L%d:%s -> L%d:%s  [%s]" % (k - 1, text_of_partition(a), k,
@@ -300,8 +300,8 @@ def cmd_selfcheck(args, out):
         if count != len(tableaux.enumerate_paths(n, lam)):
             failures.append("path count mismatch at %s" % lam)
     if args.format == "json":
-        _emit(args, {"n": n, "regime": str(args.regime), "ok": not failures,
-                     "failures": failures})
+        _emit({"n": n, "regime": str(args.regime), "ok": not failures,
+               "failures": failures})
     else:
         for f in failures:
             out("FAIL: %s" % f)
@@ -329,6 +329,7 @@ COMMANDS = {
 }
 
 NEEDS_SHAPE = {"paths", "contents", "signature", "pairs", "idempotent"}
+READS_REGIME = set(COMMANDS) - {"lambda", "paths", "wheel"}
 # the commands that read --order, with its default (None: chosen adaptively)
 ORDERED = {"wheel": 4, "matrix": None}
 
@@ -342,9 +343,12 @@ def build_parser():
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--t", default="generic",
-                       help='regime: "generic", "q^N", "-q^N" or "1"')
-        p.add_argument("--shape", help='partition, e.g. "4,2,2" ("0" for empty)')
+        if name in READS_REGIME:
+            p.add_argument("--t", default="generic",
+                           help='regime: "generic", "q^N", "-q^N" or "1"')
+        if name in NEEDS_SHAPE:
+            p.add_argument("--shape", required=True,
+                           help='partition, e.g. "4,2,2" ("0" for empty)')
         if name in ORDERED:
             p.add_argument("--order", type=int, default=ORDERED[name])
         formats = ("text", "json", "dot") if name == "graph" else ("text", "json")
@@ -372,10 +376,9 @@ def run(argv):
     if getattr(args, "order", None) is not None and args.order < 0:
         parser.error("--order must be non-negative")
     try:
-        args.regime = regime_from_text(args.t)
+        if args.command in READS_REGIME:
+            args.regime = regime_from_text(args.t)
         if args.command in NEEDS_SHAPE:
-            if args.shape is None:
-                parser.error("--shape is required for %s" % args.command)
             args.shape = partition_from_text(args.shape)
     except ValueError as exc:
         parser.error(str(exc))

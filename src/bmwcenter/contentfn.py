@@ -94,11 +94,11 @@ def drunk_contents(n, lam: Partition):
     lp = labeled(n, lam)
     dd = diagonal_datum(lam)
     out = Counter()
-    out[Content(ADD, 0)] = lp.defect + dd.multiplicity(0)
+    out[Content(ADD, 0)] = lp.defect + dd[0]
     out[Content(-ADD, 0)] = lp.defect
-    for i in dd.diagonals():
-        if i != 0 and dd.multiplicity(i):
-            out[Content(ADD, i)] = dd.multiplicity(i)
+    for i in sorted(dd):
+        if i != 0:
+            out[Content(ADD, i)] = dd[i]
     return +out
 
 
@@ -124,9 +124,8 @@ def signature_equal(a: WheelSignature, b: WheelSignature) -> bool:
 
 def skew_signature(lam: Partition, mu: Partition, r: Regime) -> WheelSignature:
     """Signature of W(lam/mu, t): contents (Add, i) with skew multiplicities."""
-    sd = skew_datum(lam, mu)
     values = []
-    for i, m in sd.mult:
+    for i, m in sorted(skew_datum(lam, mu).items()):
         values.extend([content_value(Content(ADD, i), r)] * m)
     return reduce_values(values, r.kind)
 
@@ -165,19 +164,16 @@ class PairingSet:
 
 
 def pairing_set(n, lam: Partition, r: Regime) -> PairingSet:
-    """All diagonals i of lam admitting j with c(i) c(j) = 1."""
+    """All diagonals i of lam admitting j with c(i) c(j) = 1.
+
+    At t = eps q^N, c(i) c(j) = q^(2N + 2i + 2j), so the only mate of
+    diagonal i is -N - i.
+    """
     if not r.is_even_power:
         raise RegimeMismatch("pairing needs an even-power regime, got %s" % r)
     labeled(n, lam)
     dd = diagonal_datum(lam)
-    diags = [i for i in dd.diagonals() if dd.multiplicity(i)]
-    vals = {i: content_value(Content(ADD, i), r) for i in diags}
-    mates = {}
-    for i in diags:
-        partners = tuple(sorted(j for j in diags
-                                if (vals[i] * vals[j]).is_identity))
-        if partners:
-            mates[i] = partners
+    mates = {i: (-r.exponent - i,) for i in dd if -r.exponent - i in dd}
     return PairingSet(set(mates), mates)
 
 

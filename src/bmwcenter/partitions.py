@@ -7,7 +7,7 @@ parts; the empty tuple is the empty partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from functools import total_ordering
 
 from .errors import ContainmentError, SizeMismatch
@@ -89,81 +89,22 @@ class Partition:
 EMPTY = Partition()
 
 
-@dataclass(frozen=True)
-class DiagonalDatum:
-    """Contiguous diagonal range with per-diagonal lengths.
+def diagonal_datum(lam: Partition) -> Counter:
+    """Boxes of lam tallied by diagonal j - i.
 
-    ``lo..hi`` is the content interval [-(rows-1), lambda_1 - 1] and
-    ``mult[i]`` the number of boxes on diagonal i.  Empty partition gives an
-    empty datum.
+    A partition's diagonals form one interval and each holds a box.
     """
-
-    lo: int
-    hi: int
-    mult: tuple  # mult[k] is the length of diagonal lo + k
-
-    def multiplicity(self, i):
-        if self.lo <= i <= self.hi:
-            return self.mult[i - self.lo]
-        return 0
-
-    def diagonals(self):
-        return range(self.lo, self.hi + 1)
-
-    @property
-    def is_empty(self):
-        return not self.mult
-
-    def to_partition(self):
-        """Reconstruct the unique partition with this datum."""
-        if self.is_empty:
-            return EMPTY
-        rows = {}
-        for i in self.diagonals():
-            m = self.multiplicity(i)
-            # diagonal i starts at (1, 1+i) for i >= 0 and (1-i, 1) otherwise
-            r0 = 1 if i >= 0 else 1 - i
-            for k in range(m):
-                rows[r0 + k] = rows.get(r0 + k, 0) + 1
-        nrows = max(rows)
-        parts = [rows.get(r, 0) for r in range(1, nrows + 1)]
-        return Partition(parts)
+    return Counter(j - i for i, j in lam.boxes())
 
 
-@dataclass(frozen=True)
-class SkewDatum:
-    """Diagonal multiplicities of a skew shape; only positive entries kept."""
-
-    mult: tuple  # sorted tuple of (diagonal, multiplicity) pairs
-
-    def multiplicity(self, i):
-        for d, m in self.mult:
-            if d == i:
-                return m
-        return 0
-
-    def diagonals(self):
-        return [d for d, _ in self.mult]
-
-    @property
-    def is_empty(self):
-        return not self.mult
-
-    @property
-    def size(self):
-        return sum(m for _, m in self.mult)
-
-
-def diagonal_datum(lam: Partition) -> DiagonalDatum:
-    """Tally boxes of lam by content j - i."""
-    if not lam.parts:
-        return DiagonalDatum(0, -1, ())
-    lo = -(len(lam.parts) - 1)
-    hi = lam.parts[0] - 1
-    counts = [0] * (hi - lo + 1)
-    for i, j in lam.boxes():
-        counts[(j - i) - lo] += 1
-    return DiagonalDatum(lo, hi, tuple(counts))
+def partition_of_diagonals(counts) -> Partition:
+    """The unique partition whose diagonal tally is counts."""
+    rows = Counter()
+    for i, m in counts.items():
+        # diagonal i starts at (1, 1+i) for i >= 0 and (1-i, 1) otherwise
+        r0 = 1 if i >= 0 else 1 - i
+        rows.update(range(r0, r0 + m))
+    return Partition(rows[r] for r in range(1, len(rows) + 1))
 
 
 def intersection(lam: Partition, mu: Partition) -> Partition:
@@ -171,18 +112,11 @@ def intersection(lam: Partition, mu: Partition) -> Partition:
     return Partition(min(a, b) for a, b in zip(lam.parts, mu.parts))
 
 
-def skew_datum(lam: Partition, mu: Partition) -> SkewDatum:
-    """Diagonal multiplicities of lam/mu; requires mu contained in lam."""
+def skew_datum(lam: Partition, mu: Partition) -> Counter:
+    """Diagonal tally of lam/mu; requires mu contained in lam."""
     if not lam.contains(mu):
         raise ContainmentError("%s is not contained in %s" % (mu, lam))
-    dl = diagonal_datum(lam)
-    dm = diagonal_datum(mu)
-    pairs = []
-    for i in dl.diagonals():
-        m = dl.multiplicity(i) - dm.multiplicity(i)
-        if m > 0:
-            pairs.append((i, m))
-    return SkewDatum(tuple(pairs))
+    return diagonal_datum(lam) - diagonal_datum(mu)
 
 
 def boundary_boxes(lam: Partition):

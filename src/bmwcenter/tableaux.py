@@ -50,15 +50,6 @@ def labeled(n, lam):
     return LabeledPartition(lam, d // 2, n)
 
 
-@dataclass(frozen=True)
-class Step:
-    direction: int  # ADD or REMOVE
-    diagonal: int
-
-    def content(self):
-        return Content(self.direction, self.diagonal)
-
-
 class UpDownTableau:
     """A path (T_0, ..., T_n) from the empty partition."""
 
@@ -107,28 +98,19 @@ class UpDownTableau:
         return "UpDownTableau(%s)" % " -> ".join(text_of_partition(s) for s in self.steps)
 
 
-def _moved_box(a: Partition, b: Partition) -> Step:
-    """Direction and diagonal of the box moved between adjacent shapes a, b.
+def edge_content(a: Partition, b: Partition) -> Content:
+    """Content of the box moved between adjacent shapes a and b.
 
     The box sits in the first row where the shapes differ.
     """
     for i, (x, y) in enumerate(zip_longest(a.parts, b.parts, fillvalue=0), start=1):
         if x != y:
-            return Step(ADD, y - i) if y > x else Step(REMOVE, x - i)
-
-
-def edge_content(a: Partition, b: Partition) -> Content:
-    """Content of the box moved between adjacent shapes a and b."""
-    return _moved_box(a, b).content()
-
-
-def step_sequence(tab: UpDownTableau):
-    """Per-step direction and diagonal of the moved box."""
-    return [_moved_box(a, b) for a, b in zip(tab.steps, tab.steps[1:])]
+            return Content(ADD, y - i) if y > x else Content(REMOVE, x - i)
 
 
 def content_sequence(tab: UpDownTableau):
-    return [s.content() for s in step_sequence(tab)]
+    """Per-step content (direction and diagonal) of the moved box."""
+    return [edge_content(a, b) for a, b in zip(tab.steps, tab.steps[1:])]
 
 
 def enumerate_lambda(n):
@@ -292,7 +274,7 @@ def branching_graph(n, regime: Regime):
         for shape in levels[k - 1]:
             for child in _moves(shape):
                 seen.add(child)
-                value = content_value(_moved_box(shape, child).content(), regime)
+                value = content_value(edge_content(shape, child), regime)
                 edges.append((k, shape, child, value))
         levels.append(sorted(seen))
     return levels, edges

@@ -12,7 +12,7 @@ from bmwcenter.contentfn import (WheelSignature, drunk_content_values,
                                  signature_equal)
 from bmwcenter.idempotents import orthogonality_check, spectral_idempotent
 from bmwcenter.partitions import (EMPTY, Partition, diagonal_datum,
-                                  partitions_of)
+                                  partition_of_diagonals, partitions_of)
 from bmwcenter.scalars import (ContentValue, GENERIC, content_value,
                                power_regime)
 from bmwcenter.tableaux import (UpDownTableau, content_sequence, drunk_path,
@@ -257,7 +257,7 @@ def test_squared_path_counts():
 def test_diagonal_datum_round_trip():
     for m in range(13):
         for lam in partitions_of(m):
-            assert diagonal_datum(lam).to_partition() == lam
+            assert partition_of_diagonals(diagonal_datum(lam)) == lam
 
 
 def test_restriction_sets_are_adjacent_shapes():

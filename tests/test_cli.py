@@ -194,6 +194,20 @@ def test_order_is_only_for_wheel_and_matrix(capsys, argv):
     assert ("non-negative" in err) == (argv[0] in ("wheel", "matrix"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--n", "2", "--shape", "bogus"],
+    ["separate", "--n", "3", "--shape", "5,5"],
+    ["paths", "--n", "2", "--shape", "2", "--t", "q^2"],
+    ["wheel", "--n", "2", "--t", "q^2"],
+    ["lambda", "--n", "2", "--t", "-q^1"],
+])
+def test_shape_and_regime_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_order_zero_is_accepted(capsys):
     code, out, _ = invoke(capsys, "wheel", "--n", "2", "--order", "0")
     assert code == 0 and out.startswith("w_0 = 1\n")

@@ -150,8 +150,8 @@ def test_pairing_multiplicities_in_high_even_regimes():
                 for i in pairs:
                     for j in pairs.mates[i]:
                         if j != i:
-                            assert dd.multiplicity(i) == 1
-                            assert dd.multiplicity(j) == 1
+                            assert dd[i] == 1
+                            assert dd[j] == 1
 
 
 def test_series_consistency():

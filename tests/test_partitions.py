@@ -9,7 +9,8 @@ from bmwcenter.partitions import (DOMINATED, DOMINATES, EMPTY, EQUAL,
                                   INCOMPARABLE, Partition, all_partitions_of,
                                   boundary_boxes, conjugate, diagonal_datum,
                                   dominance, intersection, partition_from_text,
-                                  partitions_of, skew_datum, text_of_partition)
+                                  partition_of_diagonals, partitions_of,
+                                  skew_datum, text_of_partition)
 
 # number of partitions of 0..12
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -60,14 +61,15 @@ def test_diagonal_datum_matches_box_tally():
             tally = {}
             for (i, j) in lam.boxes():
                 tally[j - i] = tally.get(j - i, 0) + 1
-            for d in range(-12, 13):
-                assert dd.multiplicity(d) == tally.get(d, 0)
+            assert dd == tally
+            # one interval of diagonals, each holding a box
+            assert sorted(dd) == list(range(-len(lam) + 1, lam.row(1)))
 
 
 def test_diagonal_datum_round_trip():
     for m in range(11):
         for lam in partitions_of(m):
-            assert diagonal_datum(lam).to_partition() == lam
+            assert partition_of_diagonals(diagonal_datum(lam)) == lam
 
 
 def test_conjugate_involution_and_diagonal_flip():
@@ -77,7 +79,7 @@ def test_conjugate_involution_and_diagonal_flip():
             assert conjugate(cj) == lam
             dd, dc = diagonal_datum(lam), diagonal_datum(cj)
             for d in range(-10, 11):
-                assert dd.multiplicity(d) == dc.multiplicity(-d)
+                assert dd[d] == dc[-d]
 
 
 def test_intersection_is_rowwise_min():
@@ -90,9 +92,9 @@ def test_intersection_is_rowwise_min():
 def test_skew_datum_counts_difference():
     lam, mu = Partition((4, 2, 2)), Partition((4,))
     sd = skew_datum(lam, mu)
-    assert sd.size == 4
-    assert sd.mult == ((-2, 1), (-1, 2), (0, 1))
-    assert sd.multiplicity(-1) == 2 and sd.multiplicity(3) == 0
+    assert sd.total() == 4
+    assert sorted(sd.items()) == [(-2, 1), (-1, 2), (0, 1)]
+    assert sd[-1] == 2 and sd[3] == 0
 
 
 def test_skew_datum_requires_containment():

@@ -7,8 +7,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bmwcenter import center  # noqa: E402
+from bmwcenter.blocks import is_semisimple, verify_block_theorem  # noqa: E402
+from bmwcenter.contentfn import multiplicativity_check  # noqa: E402
 from bmwcenter.errors import ZeroDenominator  # noqa: E402
-from bmwcenter.scalars import LaurentQT  # noqa: E402
+from bmwcenter.partitions import partitions_of  # noqa: E402
+from bmwcenter.scalars import GENERIC, LaurentQT, power_regime  # noqa: E402
 from bmwcenter.tableaux import (UpDownTableau, enumerate_lambda,  # noqa: E402
                                 enumerate_paths, path_counts)
 
@@ -60,3 +63,32 @@ def test_exact_quotient_of_integers(a, b, r):
     if abs(b) > 1:
         with pytest.raises(ZeroDenominator):
             quotient(a * b + 1 + r % (abs(b) - 1), b)
+
+
+SHAPES = [lam for m in range(9) for lam in partitions_of(m)]
+SKEW_SHAPES = st.sampled_from(SHAPES).flatmap(lambda lam: st.tuples(
+    st.just(lam), st.sampled_from([mu for mu in SHAPES if lam.contains(mu)])))
+REGIMES = st.one_of(st.just(GENERIC), st.builds(
+    power_regime, st.sampled_from((1, -1)), st.integers(-9, 9)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(SKEW_SHAPES, REGIMES)
+def test_wheel_signature_is_multiplicative(skew, r):
+    lam, mu = skew
+    # W(lam) = W(mu) * W(lam/mu) at the reduced level
+    assert multiplicativity_check(lam, mu, r)
+
+
+# every level n <= 9 and even-power regime t = +-q^N where the algebra is
+# not semisimple: exactly |N| <= n - 3
+NON_SEMISIMPLE_EVEN = [
+    (n, r) for n in range(10) for r in
+    (power_regime(eps, N) for eps in (1, -1) for N in range(-8, 9, 2))
+    if not is_semisimple(n, r)]
+
+
+def test_block_theorem_on_non_semisimple_even_grid():
+    assert len(NON_SEMISIMPLE_EVEN) == 50
+    for n, r in NON_SEMISIMPLE_EVEN:
+        assert verify_block_theorem(n, r), (n, r)

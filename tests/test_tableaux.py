@@ -13,7 +13,7 @@ from bmwcenter.tableaux import (UpDownTableau, branching_graph,
                                 check_level_cap, content_sequence, drunk_path,
                                 enumerate_lambda, enumerate_paths, labeled,
                                 path_counts, restriction_shapes, ruisi_greater,
-                                step_sequence, sum_of_squares)
+                                sum_of_squares)
 
 LAMBDA_SIZES = {1: 1, 2: 3, 3: 4, 4: 8, 5: 11, 6: 19}
 
@@ -53,8 +53,8 @@ def test_path_validation():
 def test_step_sequence_directions():
     tab = UpDownTableau([EMPTY, Partition((1,)), Partition((2,)),
                          Partition((1,)), Partition((1, 1))])
-    steps = step_sequence(tab)
-    assert [(s.direction, s.diagonal) for s in steps] == [
+    steps = content_sequence(tab)
+    assert [(c.s, c.i) for c in steps] == [
         (ADD, 0), (ADD, 1), (REMOVE, 1), (ADD, -1)]
 
 
