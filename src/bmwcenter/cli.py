@@ -118,7 +118,7 @@ def cmd_pairs(args, out):
         return 0
     out("P = %s" % pairs)
     orbit = _pair_letters(pairs)
-    for i, p in enumerate(args.shape.parts, start=1):
+    for i, p in enumerate(args.shape, start=1):
         cells = []
         for j in range(1, p + 1):
             d = j - i
@@ -298,7 +298,7 @@ def cmd_selfcheck(args, out):
         failures.append("newton identities failed at level %d" % n)
     for lam, count in tableaux.path_counts(n).items():
         if count != len(tableaux.enumerate_paths(n, lam)):
-            failures.append("path count mismatch at %s" % lam)
+            failures.append("path count mismatch at %s" % (lam,))
     if args.format == "json":
         _emit({"n": n, "regime": str(args.regime), "ok": not failures,
                "failures": failures})

@@ -10,21 +10,15 @@ vanish while q and t stay independent.
 from __future__ import annotations
 
 from .errors import RegimeMismatch, ZeroDenominator
-from .partitions import Partition, boundary_boxes
-from .scalars import ADD, REMOVE, Content, GENERIC, LaurentQT, Regime, content_value
-from .tableaux import (check_level_cap, content_sequence, drunk_path,
+from .partitions import Partition
+from .scalars import GENERIC, LaurentQT, Regime, content_value
+from .tableaux import (check_level_cap, children, content_sequence, drunk_path,
                        edge_content, enumerate_lambda, enumerate_paths)
 
 
 def extension_contents(mu: Partition, r: Regime = GENERIC):
     """Distinct content values labeling branching edges out of mu."""
-    removable, addable = boundary_boxes(mu)
-    out = set()
-    for (i, j) in addable:
-        out.add(content_value(Content(ADD, j - i), r))
-    for (i, j) in removable:
-        out.add(content_value(Content(REMOVE, j - i), r))
-    return out
+    return {content_value(edge_content(mu, m), r) for m in children(mu)}
 
 
 class SpectralDiagonal:
@@ -63,7 +57,7 @@ def spectral_idempotent(n, lam: Partition, r: Regime = GENERIC) -> SpectralDiago
         nodes = sorted(extension_contents(drunk[k - 1], r) - {target})
         for c in nodes:
             if c == target:
-                raise ZeroDenominator("colliding contents out of %s" % drunk[k - 1])
+                raise ZeroDenominator("colliding contents out of %s" % (drunk[k - 1],))
             den = den * (target.monomial() - c.monomial())
         nodes_at.append(nodes)
     factors = {}  # (k, parent, child) -> factor of that edge at level k
@@ -88,17 +82,16 @@ def spectral_idempotent(n, lam: Partition, r: Regime = GENERIC) -> SpectralDiago
         dead = n + 1  # the level where the previous path's prefix hit a node
         prev = None
         for path in enumerate_paths(n, lp.shape):
-            steps = path.steps
             d = 1  # first level where this path leaves the previous one
             if prev is not None:
-                while steps[d] is prev[d]:
+                while path[d] is prev[d]:
                     d += 1
-            prev = steps
+            prev = path
             if dead < d:
                 values[path] = 0
                 continue
             for k in range(d, n + 1):
-                f = factor(k, steps[k - 1], steps[k])
+                f = factor(k, path[k - 1], path[k])
                 if f is None:
                     dead = k
                     values[path] = 0
@@ -109,7 +102,7 @@ def spectral_idempotent(n, lam: Partition, r: Regime = GENERIC) -> SpectralDiago
                 # a surviving path must evaluate to exactly 1
                 if num[n] != den:
                     raise ZeroDenominator(
-                        "interpolation on %r is neither 0 nor 1" % path)
+                        "interpolation on %r is neither 0 nor 1" % (path,))
                 values[path] = 1
     return SpectralDiagonal(n, lam, values)
 

@@ -1,78 +1,54 @@
 """Integer partitions, Young-diagram geometry and diagonal (content) data.
 
 Boxes are 1-based (row, column) pairs; the box in position (i, j) sits on
-the diagonal j - i.  Partitions are stored as normalized tuples of positive
-parts; the empty tuple is the empty partition.
+the diagonal j - i.  A partition is a tuple of positive parts, largest
+first; the empty tuple is the empty partition.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import total_ordering
+from itertools import zip_longest
 
 from .errors import ContainmentError, SizeMismatch
 
 
-@total_ordering
-class Partition:
+class Partition(tuple):
     """A weakly decreasing tuple of positive integers."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
+
+    def __new__(cls, parts=()):
+        return tuple.__new__(cls, [int(p) for p in parts if p != 0])
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts if p != 0)
-        for a, b in zip(parts, parts[1:]):
+        # checks the tuple __new__ built: parts may be a spent iterator
+        for a, b in zip(self, self[1:]):
             if a < b:
-                raise ValueError("parts must be weakly decreasing: %r" % (parts,))
-        if parts and parts[-1] < 0:
-            raise ValueError("parts must be positive: %r" % (parts,))
-        self.parts = parts
+                raise ValueError("parts must be weakly decreasing: %r" % (tuple(self),))
+        if self and self[-1] < 0:
+            raise ValueError("parts must be positive: %r" % (tuple(self),))
 
     @property
     def size(self):
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __lt__(self, other):
-        return self.parts < other.parts
+        return sum(self)
 
     def __repr__(self):
-        return "Partition(%r)" % (self.parts,)
+        return "Partition(%r)" % (tuple(self),)
 
     def __str__(self):
         return text_of_partition(self)
 
-    def boxes(self):
-        """All boxes (i, j), 1-based, row by row."""
-        for i, p in enumerate(self.parts, start=1):
-            for j in range(1, p + 1):
-                yield (i, j)
-
     def contains(self, other):
         """Row-wise containment other_i <= self_i."""
-        mine = self.parts + (0,) * max(0, len(other.parts) - len(self.parts))
-        return all(o <= m for o, m in zip(other.parts, mine))
+        return len(other) <= len(self) and all(o <= m for o, m in zip(other, self))
 
     def row(self, i):
         """Length of 1-based row i (0 beyond the last row)."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
+        return self[i - 1] if 1 <= i <= len(self) else 0
 
     def with_box_added(self, i, j):
-        rows = list(self.parts)
+        rows = list(self)
         if i == len(rows) + 1:
             rows.append(0)
         rows[i - 1] += 1
@@ -80,7 +56,7 @@ class Partition:
         return Partition(rows)
 
     def with_box_removed(self, i, j):
-        rows = list(self.parts)
+        rows = list(self)
         rows[i - 1] -= 1
         assert rows[i - 1] == j - 1
         return Partition(rows)
@@ -94,7 +70,7 @@ def diagonal_datum(lam: Partition) -> Counter:
 
     A partition's diagonals form one interval and each holds a box.
     """
-    return Counter(j - i for i, j in lam.boxes())
+    return skew_datum(lam, EMPTY)
 
 
 def partition_of_diagonals(counts) -> Partition:
@@ -109,14 +85,17 @@ def partition_of_diagonals(counts) -> Partition:
 
 def intersection(lam: Partition, mu: Partition) -> Partition:
     """Row-wise minimum of the two diagrams."""
-    return Partition(min(a, b) for a, b in zip(lam.parts, mu.parts))
+    return Partition(min(a, b) for a, b in zip(lam, mu))
 
 
 def skew_datum(lam: Partition, mu: Partition) -> Counter:
     """Diagonal tally of lam/mu; requires mu contained in lam."""
     if not lam.contains(mu):
         raise ContainmentError("%s is not contained in %s" % (mu, lam))
-    return diagonal_datum(lam) - diagonal_datum(mu)
+    counts = Counter()
+    for i, (a, m) in enumerate(zip_longest(lam, mu, fillvalue=0), start=1):
+        counts.update(range(m + 1 - i, a + 1 - i))  # boxes m < j <= a of row i
+    return counts
 
 
 def boundary_boxes(lam: Partition):
@@ -125,16 +104,15 @@ def boundary_boxes(lam: Partition):
     Removing a removable box leaves a partition, adding an addable box
     yields one; there is always exactly one more addable than removable.
     """
-    parts = lam.parts
     removable = set()
     addable = set()
-    n = len(parts)
+    n = len(lam)
     for i in range(1, n + 1):
-        p = parts[i - 1]
-        below = parts[i] if i < n else 0
+        p = lam[i - 1]
+        below = lam[i] if i < n else 0
         if p > below:
             removable.add((i, p))
-        above = parts[i - 2] if i >= 2 else None
+        above = lam[i - 2] if i >= 2 else None
         if above is None or p < above:
             addable.add((i, p + 1))
     addable.add((n + 1, 1))
@@ -143,10 +121,9 @@ def boundary_boxes(lam: Partition):
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
-    if not lam.parts:
+    if not lam:
         return EMPTY
-    return Partition(sum(1 for p in lam.parts if p >= j)
-                     for j in range(1, lam.parts[0] + 1))
+    return Partition(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
 EQUAL = "equal"
@@ -163,7 +140,7 @@ def dominance(lam: Partition, mu: Partition) -> str:
         return EQUAL
     ge = le = True
     sl = sm = 0
-    for k in range(max(len(lam.parts), len(mu.parts))):
+    for k in range(max(len(lam), len(mu))):
         sl += lam.row(k + 1)
         sm += mu.row(k + 1)
         if sl < sm:
@@ -179,9 +156,9 @@ def dominance(lam: Partition, mu: Partition) -> str:
 
 def text_of_partition(lam: Partition) -> str:
     """Comma-separated parts; "0" for the empty partition."""
-    if not lam.parts:
+    if not lam:
         return "0"
-    return ",".join(str(p) for p in lam.parts)
+    return ",".join(str(p) for p in lam)
 
 
 def partition_from_text(text: str) -> Partition:

@@ -36,66 +36,48 @@ class LabeledPartition:
                 % (self.shape, self.defect, self.level))
 
     def sort_key(self):
-        return (self.defect, self.shape.parts)
+        return (self.defect, self.shape)
 
     def __str__(self):
         return "(%s, %d)" % (text_of_partition(self.shape), self.defect)
 
 
 def labeled(n, lam):
-    """The labeled partition of shape lam at level n."""
-    d = n - lam.size
-    if d < 0 or d % 2:
-        raise ShapeLevelMismatch("|%s| = %d invalid at level %d" % (lam, lam.size, n))
-    return LabeledPartition(lam, d // 2, n)
+    """The labeled partition of shape lam at level n; ``LabeledPartition``
+    raises ``ShapeLevelMismatch`` unless n - |lam| is even and >= 0."""
+    return LabeledPartition(lam, (n - lam.size) // 2, n)
 
 
-class UpDownTableau:
-    """A path (T_0, ..., T_n) from the empty partition."""
+class UpDownTableau(tuple):
+    """A path (T_0, ..., T_n) from the empty partition: a tuple of shapes."""
 
-    __slots__ = ("steps",)
+    __slots__ = ()
 
     def __init__(self, steps):
-        steps = tuple(steps)
-        if not steps or steps[0] != EMPTY:
+        if not self or self[0] != EMPTY:
             raise ValueError("path must start at the empty partition")
-        for a, b in zip(steps, steps[1:]):
+        for a, b in zip(self, self[1:]):
             if abs(a.size - b.size) != 1 or not (a.contains(b) or b.contains(a)):
                 raise ValueError("consecutive shapes must differ by one box")
-        self.steps = steps
 
     @classmethod
     def _trusted(cls, steps):
-        """A tableau on a tuple of steps already known to form a path."""
-        tab = object.__new__(cls)
-        tab.steps = steps
-        return tab
+        """A tableau on steps already known to form a path; not validated."""
+        return tuple.__new__(cls, steps)
 
     @property
     def level(self):
-        return len(self.steps) - 1
+        return len(self) - 1
 
     @property
     def shape(self):
-        return self.steps[-1]
-
-    def __eq__(self, other):
-        return isinstance(other, UpDownTableau) and self.steps == other.steps
-
-    def __hash__(self):
-        return hash(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __getitem__(self, k):
-        return self.steps[k]
+        return self[-1]
 
     def truncated(self, k):
-        return self._trusted(self.steps[:k + 1])
+        return self._trusted(self[:k + 1])
 
     def __repr__(self):
-        return "UpDownTableau(%s)" % " -> ".join(text_of_partition(s) for s in self.steps)
+        return "UpDownTableau(%s)" % " -> ".join(text_of_partition(s) for s in self)
 
 
 def edge_content(a: Partition, b: Partition) -> Content:
@@ -103,14 +85,14 @@ def edge_content(a: Partition, b: Partition) -> Content:
 
     The box sits in the first row where the shapes differ.
     """
-    for i, (x, y) in enumerate(zip_longest(a.parts, b.parts, fillvalue=0), start=1):
+    for i, (x, y) in enumerate(zip_longest(a, b, fillvalue=0), start=1):
         if x != y:
             return Content(ADD, y - i) if y > x else Content(REMOVE, x - i)
 
 
 def content_sequence(tab: UpDownTableau):
     """Per-step content (direction and diagonal) of the moved box."""
-    return [edge_content(a, b) for a, b in zip(tab.steps, tab.steps[1:])]
+    return [edge_content(a, b) for a, b in zip(tab, tab[1:])]
 
 
 def enumerate_lambda(n):
@@ -123,7 +105,7 @@ def enumerate_lambda(n):
 
 
 @lru_cache(maxsize=None)
-def _moves(shape):
+def children(shape):
     """Children of shape in the branching graph: added boxes, then removed
     ones, each in box order."""
     removable, addable = boundary_boxes(shape)
@@ -142,7 +124,7 @@ def _spread(counts):
     edges out of its shape."""
     nxt = {}
     for shape, c in counts.items():
-        for m in _moves(shape):
+        for m in children(shape):
             nxt[m] = nxt.get(m, 0) + c
     return nxt
 
@@ -163,26 +145,26 @@ def enumerate_paths(n, lam: Partition):
     # completions.  A shape at level k has at most k boxes, and every such
     # shape of the right parity is reachable from the empty one, so each
     # has a prefix and sum(ways) bounds the path count from below.  A node
-    # is (shape, children), with the children in the order of _moves.
+    # is (shape, kids), with the kids in the order of children(shape).
     ways = {lam: 1}
     nodes = {lam: (lam, ())}
     for k in range(n - 1, -1, -1):
         ways = {m: c for m, c in _spread(ways).items() if m.size <= k}
         _refuse_above_cap(sum(ways.values()),
                           "level %d, shape %s" % (n, text_of_partition(lam)))
-        nodes = {s: (s, tuple(nodes[m] for m in _moves(s) if m in nodes))
+        nodes = {s: (s, tuple(nodes[m] for m in children(s) if m in nodes))
                  for s in ways}
     new = UpDownTableau._trusted
     out = []
     path = [EMPTY]
     stack = [iter(nodes[EMPTY][1])]
     while stack:
-        for shape, children in stack[-1]:
+        for shape, kids in stack[-1]:
             path.append(shape)
-            if children:
-                stack.append(iter(children))
+            if kids:
+                stack.append(iter(kids))
                 break
-            out.append(new(tuple(path)))
+            out.append(new(path))
             path.pop()
         else:
             stack.pop()
@@ -219,7 +201,7 @@ def canonical_path(lam: Partition) -> UpDownTableau:
     """Row-filling path: complete each row before starting the next."""
     steps = [EMPTY]
     done = []
-    for p in lam.parts:
+    for p in lam:
         for j in range(1, p + 1):
             steps.append(Partition(done + [j]))
         done.append(p)
@@ -233,7 +215,7 @@ def drunk_path(n, lam: Partition) -> UpDownTableau:
     steps = [EMPTY]
     for _ in range(lp.defect):
         steps.extend([box, EMPTY])
-    steps.extend(canonical_path(lam).steps[1:])
+    steps.extend(canonical_path(lam)[1:])
     return UpDownTableau(steps)
 
 
@@ -257,7 +239,7 @@ def restriction_shapes(n, lam: Partition):
     """Level-(n-1) shapes on paths to lam: the first step of the backward
     recursion in ``enumerate_paths``, so nothing is enumerated."""
     labeled(n, lam)
-    return {m for m in _moves(lam) if m.size < n}
+    return {m for m in children(lam) if m.size < n}
 
 
 def branching_graph(n, regime: Regime):
@@ -272,7 +254,7 @@ def branching_graph(n, regime: Regime):
     for k in range(1, n + 1):
         seen = set()
         for shape in levels[k - 1]:
-            for child in _moves(shape):
+            for child in children(shape):
                 seen.add(child)
                 value = content_value(edge_content(shape, child), regime)
                 edges.append((k, shape, child, value))

@@ -105,14 +105,16 @@ def test_generic_separation_and_rank():
 
 
 def test_regime_grid_matches_predicate():
-    for n in range(2, 6):
+    # all 540 cases n <= 10, |N| <= 2n + 2, both signs, semisimple or not
+    cases = 0
+    for n in range(1, 11):
         for sign in (1, -1):
-            for N in range(-2 * n - 1, 2 * n + 2):
+            for N in range(-2 * n - 2, 2 * n + 3):
                 r = power_regime(sign, N)
-                if not is_semisimple(n, r):
-                    continue
                 computed = separation_classes(n, r).separates
                 assert computed == theorem1_predicate(n, r), (n, sign, N)
+                cases += 1
+    assert cases == 540
 
 
 def test_level_three_exceptional_regimes_separate():

@@ -5,10 +5,10 @@ import pytest
 from bmwcenter.errors import RegimeMismatch, ResourceLimit
 from bmwcenter.idempotents import (extension_contents, orthogonality_check,
                                    spectral_idempotent)
-from bmwcenter.partitions import EMPTY, Partition, boundary_boxes
+from bmwcenter.partitions import EMPTY, Partition
 from bmwcenter.scalars import GENERIC, LaurentQT, content_value, power_regime
-from bmwcenter.tableaux import (content_sequence, drunk_path, enumerate_lambda,
-                                enumerate_paths)
+from bmwcenter.tableaux import (children, content_sequence, drunk_path,
+                                enumerate_lambda, enumerate_paths)
 
 
 def test_extension_contents_counts():
@@ -16,9 +16,7 @@ def test_extension_contents_counts():
     for m in range(7):
         from bmwcenter.partitions import partitions_of
         for mu in partitions_of(m):
-            removable, addable = boundary_boxes(mu)
-            vals = extension_contents(mu)
-            assert len(vals) == len(removable) + len(addable)
+            assert len(extension_contents(mu)) == len(children(mu))
 
 
 def test_extension_contents_empty_shape():

@@ -28,7 +28,7 @@ def test_path_counts_match_enumeration(case):
     assert len(set(paths)) == len(paths)
     for path in paths:
         assert path.shape == lam and path.level == n
-        assert UpDownTableau(path.steps) == path  # validates the steps
+        assert UpDownTableau(path) == path  # validates the steps
 
 
 def _polys(t_exponents):

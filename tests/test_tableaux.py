@@ -6,7 +6,7 @@ import pytest
 
 from bmwcenter import tableaux
 from bmwcenter.errors import ResourceLimit, ShapeLevelMismatch
-from bmwcenter.partitions import EMPTY, Partition, boundary_boxes
+from bmwcenter.partitions import EMPTY, Partition, all_partitions_of, boundary_boxes
 from bmwcenter.scalars import ADD, GENERIC, REMOVE
 from bmwcenter.tableaux import (UpDownTableau, branching_graph,
                                 branching_graph_dot, canonical_path,
@@ -83,7 +83,7 @@ def test_drunk_path_structure():
     path = drunk_path(6, lam)
     assert path.level == 6 and path.shape == lam
     # two excursions through a single box, then the canonical tail
-    assert [tuple(s.parts) for s in path] == [
+    assert [tuple(s) for s in path] == [
         (), (1,), (), (1,), (), (1,), (2,)]
     with pytest.raises(ShapeLevelMismatch):
         drunk_path(3, Partition((2,)))
@@ -166,7 +166,7 @@ def oracle_paths(n, lam):
                     + [cur.with_box_removed(i, j) for (i, j) in sorted(removable)])
         remaining = n - k - 1
         for nxt in children:
-            inter = sum(min(a, b) for a, b in zip(nxt.parts, lam.parts))
+            inter = sum(min(a, b) for a, b in zip(nxt, lam))
             need = nxt.size + lam.size - 2 * inter
             if need <= remaining and (remaining - need) % 2 == 0:
                 walk(prefix + [nxt])
@@ -179,7 +179,7 @@ def test_enumerate_paths_matches_oracle_in_order():
     for n in range(0, 8):
         for lp in enumerate_lambda(n):
             got = enumerate_paths(n, lp.shape)
-            assert [p.steps for p in got] == [p.steps for p in oracle_paths(n, lp.shape)]
+            assert got == oracle_paths(n, lp.shape)
 
 
 def test_restriction_shapes_are_truncations():
@@ -196,10 +196,30 @@ def test_trusted_tableaux_equal_validated_ones():
             checked = UpDownTableau(list(path))
             assert checked == path and path == checked
             assert hash(checked) == hash(path)
-            assert path.truncated(3) == UpDownTableau(path.steps[:4])
+            assert path.truncated(3) == UpDownTableau(path[:4])
     assert len({*enumerate_paths(4, EMPTY), *oracle_paths(4, EMPTY)}) == 3
     with pytest.raises(ValueError):
         UpDownTableau([EMPTY, Partition((2,))])
+
+
+def test_shapes_and_paths_are_tuples():
+    shapes = all_partitions_of(6)
+    for lam in shapes:
+        assert isinstance(lam, tuple) and hash(lam) == hash(tuple(lam))
+    assert [tuple(lam) for lam in sorted(shapes)] == sorted(tuple(lam) for lam in shapes)
+    for lp in enumerate_lambda(6):
+        for path in enumerate_paths(6, lp.shape):
+            steps = tuple(path)
+            assert isinstance(path, tuple) and UpDownTableau(steps) == steps
+            assert hash(path) == hash(steps)
+    # both public constructors validate
+    for bad in ((1, 2), (-1,)):
+        with pytest.raises(ValueError):
+            Partition(bad)
+    one, two = Partition((1,)), Partition((2,))
+    for bad in ([EMPTY, two], [one, two], [], (1, 2), (-1,)):
+        with pytest.raises(ValueError):
+            UpDownTableau(bad)
 
 
 def test_path_cap_refuses_before_walking(monkeypatch):
