@@ -11,6 +11,7 @@ from bmwcenter.center import (LaurentFrac, adaptive_matrix, bareiss_rank,
                               matrix_row_labels, separating_family,
                               separation_classes, theorem1_predicate)
 from bmwcenter.errors import ResourceLimit, ZeroDenominator
+from bmwcenter.blocks import is_semisimple
 from bmwcenter.scalars import GENERIC, LaurentQT, power_regime
 from bmwcenter.tableaux import enumerate_lambda
 
@@ -45,6 +46,17 @@ def test_class_of_lookup():
     rep = separation_classes(3, GENERIC)
     lp = enumerate_lambda(3)[0]
     assert rep.class_of(lp) == [lp]
+
+
+def test_theorem1_predicate_matches_computation():
+    for n in range(2, 5):
+        for sign in (1, -1):
+            for N in range(-2 * n - 1, 2 * n + 2):
+                r = power_regime(sign, N)
+                if not is_semisimple(n, r):
+                    continue
+                assert separation_classes(n, r).separates == \
+                    theorem1_predicate(n, r), (n, sign, N)
 
 
 def test_theorem1_predicate_generic_and_symmetry():
