@@ -7,6 +7,8 @@ vacuously and membership tests reduce to comparing (sign, exponent) pairs.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .center import separation_classes
 from .errors import LevelMismatch, RegimeMismatch
 from .partitions import Partition, intersection, skew_datum
@@ -67,11 +69,11 @@ def block_equivalent(a: LabeledPartition, b: LabeledPartition, r: Regime) -> boo
         return a == b
     lam, mu = a.shape, b.shape
     cap = intersection(lam, mu)
-    if (lam.size - cap.size) % 2 or (mu.size - cap.size) % 2:
+    # both shapes sit at one level, so |lam| and |mu| share a parity
+    if (lam.size - cap.size) % 2:
         return False
-    l1 = (lam.size - cap.size) // 2
-    l2 = (mu.size - cap.size) // 2
-    return (is_admissible(lam, l1, cap, r) and is_admissible(mu, l2, cap, r))
+    return (is_admissible(lam, (lam.size - cap.size) // 2, cap, r)
+            and is_admissible(mu, (mu.size - cap.size) // 2, cap, r))
 
 
 class BlockReport:
@@ -98,24 +100,21 @@ def block_partition(n, r: Regime) -> BlockReport:
         return i
 
     direct = set()
-    for i in range(len(lps)):
-        for j in range(i + 1, len(lps)):
-            if block_equivalent(lps[i], lps[j], r):
-                direct.add((i, j))
-                parent[find(i)] = find(j)
+    for i, j in combinations(range(len(lps)), 2):
+        if block_equivalent(lps[i], lps[j], r):
+            direct.add((i, j))
+            parent[find(i)] = find(j)
+    # Lambda_n is sorted, so each group and the group order follow it
     groups = {}
-    for i, lp in enumerate(lps):
-        groups.setdefault(find(i), []).append(lp)
-    blocks = sorted((sorted(g, key=lambda lp: lp.sort_key()) for g in groups.values()),
-                    key=lambda c: c[0].sort_key())
-    closure_pairs = []
     for i in range(len(lps)):
-        for j in range(i + 1, len(lps)):
-            if find(i) == find(j) and (i, j) not in direct:
-                closure_pairs.append((lps[i], lps[j]))
-    w_classes = [[lp for lp in c] for c in separation_classes(n, r).classes]
-    agrees = {frozenset(c) for c in blocks} == {frozenset(c) for c in w_classes}
-    return BlockReport(n, r, blocks, agrees, closure_pairs)
+        groups.setdefault(find(i), []).append(i)
+    closure = [p for g in groups.values() for p in combinations(g, 2)
+               if p not in direct]
+    closure.sort()
+    blocks = [[lps[i] for i in g] for g in groups.values()]
+    agrees = ({frozenset(c) for c in blocks}
+              == {frozenset(c) for c in separation_classes(n, r).classes})
+    return BlockReport(n, r, blocks, agrees, [(lps[i], lps[j]) for i, j in closure])
 
 
 def verify_block_theorem(n, r: Regime) -> bool:

@@ -45,10 +45,9 @@ def separation_classes(n, r: Regime) -> SeparationReport:
     """Partition Lambda_n by equality of reduced wheel signatures."""
     groups = {}
     for lp in enumerate_lambda(n):
-        sig = signature(n, lp.shape, r)
-        groups.setdefault(sig, []).append(lp)
-    classes = sorted((sorted(g, key=lambda lp: lp.sort_key()) for g in groups.values()),
-                     key=lambda c: c[0].sort_key())
+        groups.setdefault(signature(n, lp.shape, r), []).append(lp)
+    # Lambda_n is sorted, so each class and the class order follow it
+    classes = list(groups.values())
     witnesses = [pair for c in classes for pair in combinations(c, 2)]
     return SeparationReport(n, r, classes, witnesses)
 
@@ -322,14 +321,17 @@ def _specialized_rank(matrix):
     return len(_eliminate(_specialize(matrix), operator.floordiv, abs))
 
 
-def matrix_rank(matrix):
+def matrix_rank(matrix, probe=None):
     """Exact rank over the fraction field of LaurentQT.
 
     A random rational specialization gives a certified answer whenever it
     already has full column rank; otherwise fall back to exact elimination.
+    ``probe`` is the specialized rank, when the caller has computed it.
     """
     ncols = len(matrix[0]) if matrix else 0
-    if _specialized_rank(matrix) == ncols:
+    if probe is None:
+        probe = _specialized_rank(matrix)
+    if probe == ncols:
         return ncols
     return bareiss_rank(matrix)
 
@@ -392,7 +394,7 @@ def adaptive_matrix(n, r: Regime, shapes=None):
         # the probe fixes K, which is part of the output: first point only
         probe = _specialized_rank(matrix)
         if probe == len(shapes) or probe == prev_probe or K >= cap:
-            return matrix, matrix_rank(matrix), K
+            return matrix, matrix_rank(matrix, probe), K
         prev_probe = probe
         K = min(2 * K, cap)
 

@@ -96,28 +96,24 @@ def cmd_signature(args, out):
     return 0
 
 
-def _pair_letters(pairs):
-    """Letter per pairing orbit, keyed by diagonal."""
+def _pair_letters(mates):
+    """Letter per pairing orbit {i, mates[i]}, keyed by diagonal."""
     orbit = {}
-    for i in sorted(pairs.paired, reverse=True):
-        if i in orbit:
-            continue
-        label = string.ascii_lowercase[len(set(orbit.values())) % 26]
-        orbit[i] = label
-        for j in pairs.mates.get(i, ()):
-            orbit.setdefault(j, label)
+    for i in sorted(mates, reverse=True):
+        if i not in orbit:
+            orbit[i] = orbit[mates[i]] = string.ascii_lowercase[
+                len(set(orbit.values())) % 26]
     return orbit
 
 
 def cmd_pairs(args, out):
-    pairs = contentfn.pairing_set(args.n, args.shape, args.regime)
+    mates = contentfn.pairing_set(args.n, args.shape, args.regime)
     if args.format == "json":
         _emit({"n": args.n, "shape": text_of_partition(args.shape),
-               "regime": str(args.regime),
-               "paired": sorted(pairs.paired)})
+               "regime": str(args.regime), "paired": sorted(mates)})
         return 0
-    out("P = %s" % pairs)
-    orbit = _pair_letters(pairs)
+    out("P = {%s}" % ", ".join(str(i) for i in sorted(mates)))
+    orbit = _pair_letters(mates)
     for i, p in enumerate(args.shape, start=1):
         cells = []
         for j in range(1, p + 1):

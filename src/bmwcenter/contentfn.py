@@ -74,14 +74,12 @@ class WheelSignature:
 
 def reduce_values(values, kind) -> WheelSignature:
     """Signature of prod(1 - v^-1 T)/prod(1 - v T) over a value multiset."""
-    mult = Counter(values)
-    exps = {}
-    for v in list(mult) + [v.inverse() for v in mult]:
-        if v in exps or v == v.inverse():
-            continue
-        e = mult.get(v.inverse(), 0) - mult.get(v, 0)
-        if e:
-            exps[v] = e
+    exps = Counter()
+    for v, m in Counter(values).items():
+        inv = v.inverse()
+        if v != inv:
+            exps[v] -= m
+            exps[inv] += m
     return WheelSignature(kind, exps)
 
 
@@ -137,44 +135,17 @@ def multiplicativity_check(lam: Partition, mu: Partition, r: Regime) -> bool:
     return lhs == rhs
 
 
-class PairingSet:
-    """Diagonals of a shape whose content values pair off to 1.
-
-    ``mates`` maps each paired diagonal to the sorted tuple of its partners
-    (a self-paired diagonal is its own partner).
-    """
-
-    __slots__ = ("paired", "mates")
-
-    def __init__(self, paired, mates=None):
-        self.paired = frozenset(paired)
-        self.mates = dict(mates) if mates else {}
-
-    def __eq__(self, other):
-        return isinstance(other, PairingSet) and self.paired == other.paired
-
-    def __contains__(self, i):
-        return i in self.paired
-
-    def __iter__(self):
-        return iter(sorted(self.paired))
-
-    def __str__(self):
-        return "{%s}" % ", ".join(str(i) for i in self)
-
-
-def pairing_set(n, lam: Partition, r: Regime) -> PairingSet:
-    """All diagonals i of lam admitting j with c(i) c(j) = 1.
+def pairing_set(n, lam: Partition, r: Regime):
+    """Mate map of the diagonals i of lam admitting j with c(i) c(j) = 1.
 
     At t = eps q^N, c(i) c(j) = q^(2N + 2i + 2j), so the only mate of
-    diagonal i is -N - i.
+    diagonal i is -N - i (a self-paired diagonal is its own mate).
     """
     if not r.is_even_power:
         raise RegimeMismatch("pairing needs an even-power regime, got %s" % r)
     labeled(n, lam)
     dd = diagonal_datum(lam)
-    mates = {i: (-r.exponent - i,) for i in dd if -r.exponent - i in dd}
-    return PairingSet(set(mates), mates)
+    return {i: -r.exponent - i for i in dd if -r.exponent - i in dd}
 
 
 def series_consistency(n, lam: Partition, r: Regime, K) -> bool:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from bmwcenter import blocks, cli
 from bmwcenter.blocks import (block_equivalent, block_partition,
                               check_admissible, is_admissible, is_semisimple,
                               verify_block_theorem)
@@ -128,3 +129,21 @@ def test_verify_block_theorem_small_sweep():
                 if is_semisimple(n, r):
                     continue
                 assert verify_block_theorem(n, r), (n, sign, a)
+
+
+def test_block_partition_closure_pairs(monkeypatch, capsys):
+    # a chain relation on Lambda_5: 3 ~ 0 ~ 6 and 1 ~ 2 ~ 4, so (3, 6) and
+    # (1, 4) are related only through the transitive closure
+    lps = enumerate_lambda(5)
+    direct = {(0, 3), (0, 6), (1, 2), (2, 4)}
+    monkeypatch.setattr(blocks, "block_equivalent",
+                        lambda a, b, r: (lps.index(a), lps.index(b)) in direct)
+    rep = block_partition(5, power_regime(1, 2))
+    assert [c for c in rep.blocks if len(c) > 1] == [
+        [lps[0], lps[3], lps[6]], [lps[1], lps[2], lps[4]]]
+    assert rep.closure_pairs == [(lps[1], lps[4]), (lps[3], lps[6])]
+    assert cli.run(["blocks", "--n", "5", "--t", "q^2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("closure only:")] == [
+        "closure only: (2,1,1,1, 0) ~ (3,2, 0)",
+        "closure only: (3,1,1, 0) ~ (5, 0)"]

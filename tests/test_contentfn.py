@@ -131,12 +131,9 @@ def test_pairing_needs_even_power():
 def test_pairing_n4_tq2():
     # t = q^2: diagonals i, j pair when i + j = -2; -1 is self-paired
     r = power_regime(1, 2)
-    assert pairing_set(4, Partition((4,)), r).paired == frozenset()
-    p = pairing_set(4, Partition((1, 1, 1, 1)), r)
-    assert p.paired == frozenset({0, -1, -2})
-    assert p.mates[-1] == (-1,)
-    assert p.mates[0] == (-2,) and p.mates[-2] == (0,)
-    assert pairing_set(4, Partition((2, 2)), r).paired == frozenset({-1})
+    assert pairing_set(4, Partition((4,)), r) == {}
+    assert pairing_set(4, Partition((1, 1, 1, 1)), r) == {0: -2, -1: -1, -2: 0}
+    assert pairing_set(4, Partition((2, 2)), r) == {-1: -1}
 
 
 def test_pairing_multiplicities_in_high_even_regimes():
@@ -146,12 +143,10 @@ def test_pairing_multiplicities_in_high_even_regimes():
             r = power_regime(1, 2 * a)
             for lp in enumerate_lambda(n):
                 dd = diagonal_datum(lp.shape)
-                pairs = pairing_set(n, lp.shape, r)
-                for i in pairs:
-                    for j in pairs.mates[i]:
-                        if j != i:
-                            assert dd[i] == 1
-                            assert dd[j] == 1
+                for i, j in pairing_set(n, lp.shape, r).items():
+                    if j != i:
+                        assert dd[i] == 1
+                        assert dd[j] == 1
 
 
 def test_series_consistency():
