@@ -34,12 +34,6 @@ class SeparationReport:
     def separates(self):
         return all(len(c) == 1 for c in self.classes)
 
-    def class_of(self, lp):
-        for c in self.classes:
-            if lp in c:
-                return c
-        raise KeyError(lp)
-
 
 def separation_classes(n, r: Regime) -> SeparationReport:
     """Partition Lambda_n by equality of reduced wheel signatures."""
@@ -340,7 +334,7 @@ def matrix_rank(matrix, probe=None):
 # evaluation matrices and separating families
 
 
-def evaluation_matrix(n, r: Regime, K, shapes=None):
+def evaluation_matrix(n, r: Regime, K):
     """Evaluations of e_n^j * w_k (j = 0, 1, -1; k <= K) over Lambda_n.
 
     Row order follows matrix_row_labels(K); the w_k values are read off as
@@ -351,9 +345,7 @@ def evaluation_matrix(n, r: Regime, K, shapes=None):
     cap = 4 * len(level)
     if K > cap:
         raise ResourceLimit("order %d exceeds cap %d at level %d" % (K, cap, n))
-    if shapes is None:
-        shapes = level
-    matrix = _build_matrix(n, r, K, shapes)
+    matrix = _build_matrix(n, r, K, level)
     return matrix, matrix_rank(matrix)
 
 
@@ -400,57 +392,30 @@ def adaptive_matrix(n, r: Regime, shapes=None):
 
 
 class LaurentFrac:
-    """Quotient of two LaurentQT polynomials, lightly normalized."""
+    """A separating-family coefficient num / den, as it is printed.
+
+    The quotient is exact when den divides num; otherwise both parts are
+    scaled so that den's leading coefficient is 1.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if den is None:
-            den = LaurentQT.const(1)
+    def __init__(self, num, den):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         q = divexact(num, den)
         if q is not None:
             num, den = q, LaurentQT.const(1)
-        # scale so the denominator's leading term is a plain monomial
-        if not den.is_monomial():
+        else:
             c = den.terms[max(den.terms)]
             num, den = (LaurentQT({e: exact_ratio(v, c) for e, v in p.terms.items()})
                         for p in (num, den))
-        else:
-            num = num * den.monomial_inverse()
-            den = LaurentQT.const(1)
         self.num = num
         self.den = den
-
-    @classmethod
-    def const(cls, c):
-        return cls(LaurentQT.const(c))
 
     @property
     def is_zero(self):
         return self.num.is_zero
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentFrac):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __add__(self, other):
-        return LaurentFrac(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-
-    def __sub__(self, other):
-        return LaurentFrac(self.num * other.den - other.num * self.den,
-                           self.den * other.den)
-
-    def __mul__(self, other):
-        return LaurentFrac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero fraction")
-        return LaurentFrac(self.num * other.den, self.den * other.num)
 
     def __str__(self):
         if self.den == LaurentQT.const(1):
@@ -480,7 +445,7 @@ def separating_family(n, r: Regime):
     pivots, codec, packed, origin = _packed_elimination(aug)
     if pivots != list(range(m)):
         raise ZeroDenominator("selected rows are not independent")
-    zero = LaurentFrac.const(0)
+    zero = LaurentFrac(LaurentQT(), LaurentQT.const(1))
     family = []
     for i in range(m):
         scaled = origin[:i + 1]

@@ -352,8 +352,10 @@ def build_parser():
     return parser
 
 
+PARSER = build_parser()
+
+
 def run(argv):
-    parser = build_parser()
     # let regime values like "-q^-1" follow --t without being read as flags
     merged = []
     skip = False
@@ -366,18 +368,18 @@ def run(argv):
             skip = True
         else:
             merged.append(tok)
-    args = parser.parse_args(merged)
+    args = PARSER.parse_args(merged)
     if args.n < 0:
-        parser.error("--n must be non-negative")
+        PARSER.error("--n must be non-negative")
     if getattr(args, "order", None) is not None and args.order < 0:
-        parser.error("--order must be non-negative")
+        PARSER.error("--order must be non-negative")
     try:
         if args.command in READS_REGIME:
             args.regime = regime_from_text(args.t)
         if args.command in NEEDS_SHAPE:
             args.shape = partition_from_text(args.shape)
     except ValueError as exc:
-        parser.error(str(exc))
+        PARSER.error(str(exc))
     try:
         return COMMANDS[args.command](args, print)
     except BmwError as exc:

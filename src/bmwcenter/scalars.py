@@ -244,20 +244,7 @@ class LaurentQT:
         return r
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            if w is None:
-                out[k] = -v
-            else:
-                w -= v
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
-        r = _new(type(self))
-        r.terms = out
-        return r
+        return self + -other
 
     def __mul__(self, other):
         r = _new(type(self))
@@ -366,15 +353,15 @@ def wheel_series(monomials, one, order):
 
     The product runs over the monomials m (a multiset; repeats allowed) and
     ``one`` is the constant 1 of their ring.  Each m costs 2 * order
-    monomial products: multiplying by 1 - m^-1 T updates c_k -= m^-1 c_{k-1}
-    from the top down, dividing by 1 - m T updates c_k += m c_{k-1} from the
-    bottom up.
+    monomial products: multiplying by 1 - m^-1 T updates c_k += -m^-1 c_{k-1}
+    from the top down (-m^-1 is formed once per m), dividing by 1 - m T
+    updates c_k += m c_{k-1} from the bottom up.
     """
     c = [one] + [one * 0] * order
     for m in monomials:
-        inv = m.monomial_inverse()
+        neg = -m.monomial_inverse()
         for k in range(order, 0, -1):
-            c[k] = c[k] - inv * c[k - 1]
+            c[k] = c[k] + neg * c[k - 1]
         for k in range(1, order + 1):
             c[k] = c[k] + m * c[k - 1]
     return c

@@ -22,18 +22,15 @@ class MultiLaurent(LaurentQT):
 
     __slots__ = ()
 
-    def __init__(self, n, terms=None):
-        super().__init__(terms)
-
     @classmethod
     def const(cls, n, c):
-        return cls(n, {(0,) * n: c})
+        return cls({(0,) * n: c})
 
     @classmethod
     def variable(cls, n, i, power=1):
         exps = [0] * n
         exps[i] = power
-        return cls(n, {tuple(exps): 1})
+        return cls({tuple(exps): 1})
 
     @property
     def n(self):
@@ -87,7 +84,7 @@ def elementary_wheel(n, k) -> MultiLaurent:
 def power_sum(n, k) -> MultiLaurent:
     """p_k^- = sum_i (x_i^k - x_i^{-k}); zero for k = 0."""
     return sum((MultiLaurent.variable(n, i, k) - MultiLaurent.variable(n, i, -k)
-                for i in range(n)), MultiLaurent(n))
+                for i in range(n)), MultiLaurent())
 
 
 def inverse_coeffs(n, K):
@@ -106,7 +103,7 @@ def newton_check(n, K) -> bool:
     w = _wheel_series(n, K)
     v = inverse_coeffs(n, K)
     for k in range(1, K + 1):
-        rhs = MultiLaurent(n)
+        rhs = MultiLaurent()
         for j in range(1, k + 1):
             rhs = rhs + j * (w[j] * v[k - j])
         if rhs != power_sum(n, k):

@@ -42,12 +42,6 @@ def test_separation_collision_reported():
     assert {str(a), str(b)} == {"(0, 1)", "(2, 0)"}
 
 
-def test_class_of_lookup():
-    rep = separation_classes(3, GENERIC)
-    lp = enumerate_lambda(3)[0]
-    assert rep.class_of(lp) == [lp]
-
-
 def test_theorem1_predicate_matches_computation():
     for n in range(2, 5):
         for sign in (1, -1):
@@ -375,20 +369,6 @@ def test_adaptive_matrix_stops_at_full_rank():
     assert matrix_rank(matrix) == rank
 
 
-def test_laurent_frac_arithmetic():
-    q = LaurentQT.monomial(1)
-    one = LaurentQT.const(1)
-    a = LaurentFrac(one, one + q)
-    b = LaurentFrac(q, one + q)
-    assert (a + b) == LaurentFrac.const(1)
-    assert (a * LaurentFrac(one + q, one)) == LaurentFrac.const(1)
-    assert (a - a).is_zero
-    with pytest.raises(ZeroDivisionError):
-        a / LaurentFrac.const(0)
-    assert LaurentFrac.const(1) != 1
-    assert LaurentFrac.__eq__(LaurentFrac.const(1), one) is NotImplemented
-
-
 def test_laurent_frac_coefficients_stay_exact():
     q = LaurentQT.monomial(1)
     one = LaurentQT.const(1)
@@ -401,6 +381,20 @@ def test_laurent_frac_coefficients_stay_exact():
     # an integral quotient stays integral
     frac = LaurentFrac((q + one) * (q * 2 - one), q * 2 - one)
     assert frac.num == q + one and {type(c) for c in frac.num.terms.values()} == {int}
+    # a monomial denominator divides: the quotient is the numerator
+    frac = LaurentFrac(q + one, q.pow(2) * 3)
+    assert frac.num.terms == {(-1, 0): Fraction(1, 3), (-2, 0): Fraction(1, 3)}
+    assert frac.den == one
+    frac = LaurentFrac(LaurentQT(), q + one)
+    assert frac.is_zero and frac.den == one
+    with pytest.raises(ZeroDivisionError):
+        LaurentFrac(q + one, LaurentQT())
+    # a denominator that does not divide is made monic, the ratio kept
+    num, den = q.pow(2) * 5 + one, q.pow(3) * 4 - q * 2 + one * 7
+    frac = LaurentFrac(num, den)
+    assert frac.den.terms[max(frac.den.terms)] == 1
+    assert frac.den.terms[(0, 0)] == Fraction(7, 4)
+    assert frac.num * den == num * frac.den
     assert divexact(q * 3 + one * 3, q + one) == LaurentQT.const(3)
     assert divexact(q + one, q * 2 + one * 2) == LaurentQT.const(Fraction(1, 2))
     for n, r in ((3, GENERIC), (3, power_regime(-1, 1)), (4, power_regime(1, 0))):
@@ -411,16 +405,22 @@ def test_laurent_frac_coefficients_stay_exact():
 
 
 def test_separating_family_unitriangular():
+    # combination i, times the product L of its distinct denominators, is
+    # a polynomial combination of the rows that gives L on representative
+    # i and 0 on every earlier one
+    one = LaurentQT.const(1)
     for n, r in ((2, GENERIC), (3, GENERIC), (2, power_regime(1, -1))):
         reps, family, K = separating_family(n, r)
-        matrix, _ = evaluation_matrix(n, r, K, shapes=reps)
+        matrix = adaptive_matrix(n, r, reps)[0]
+        assert len(matrix) == len(matrix_row_labels(K))
         for i, combo in enumerate(family):
-            for j in range(len(reps)):
-                dot = LaurentFrac.const(0)
-                for row, coeff in zip(matrix, combo):
-                    if not coeff.is_zero:
-                        dot = dot + coeff * LaurentFrac(row[j])
-                if j == i:
-                    assert dot == LaurentFrac.const(1)
-                elif j < i:
-                    assert dot.is_zero
+            assert len(combo) == len(matrix)
+            L = one
+            for den in {c.den for c in combo if not c.is_zero}:
+                L = L * den
+            for j in range(i + 1):
+                dot = LaurentQT()
+                for row, c in zip(matrix, combo):
+                    if not c.is_zero:
+                        dot = dot + c.num * divexact(L, c.den) * row[j]
+                assert dot == (L if j == i else LaurentQT()), (n, r, i, j)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from bmwcenter import cli
 from bmwcenter.cli import run
 from bmwcenter.tableaux import enumerate_lambda
 
@@ -265,3 +266,53 @@ def test_family_command(capsys):
     data = json.loads(out)
     assert code == 0
     assert len(data["representatives"]) == len(enumerate_lambda(2))
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    def rebuilt():
+        raise AssertionError("the parser is built at import")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    first = invoke(capsys, "signature", "--n", "4", "--shape", "2,2", "--t", "q^2")
+    second = invoke(capsys, "signature", "--n", "4", "--shape", "2,2")
+    assert first[0] == second[0] == 0
+    # each parse starts from the defaults: the second run is generic again
+    assert first[1] != second[1]
+    assert second == invoke(capsys, "signature", "--n", "4", "--shape", "2,2",
+                            "--t", "generic")
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_blocks():
+    """The fenced code blocks of README.md, as (language, lines)."""
+    blocks, current = [], None
+    with open(README, encoding="utf-8") as f:
+        for line in f.read().splitlines():
+            if line.startswith("```"):
+                if current is None:
+                    current = (line[3:].strip(), [])
+                else:
+                    blocks.append(current)
+                    current = None
+            elif current is not None:
+                current[1].append(line)
+    return blocks
+
+
+def test_readme_commands_run(capsys):
+    commands = [line.split("#")[0].split()[1:]
+                for _, lines in _readme_blocks() for line in lines
+                if line.startswith("bmwcenter ")]
+    assert len(commands) == 14
+    for argv in commands:
+        assert run(argv) == 0, argv
+        capsys.readouterr()
+
+
+def test_readme_quick_taste(capsys):
+    snippet, = ("\n".join(lines) for lang, lines in _readme_blocks()
+                if lang == "python")
+    exec(snippet, {})
+    assert capsys.readouterr().out == "(1-q^4T)/(1-q^-4T)\n"

@@ -56,7 +56,7 @@ def test_inverse_series_convolution():
         w = [elementary_wheel(n, k) for k in range(K + 1)]
         v = inverse_coeffs(n, K)
         for k in range(K + 1):
-            conv = MultiLaurent(n)
+            conv = MultiLaurent()
             for i in range(k + 1):
                 conv = conv + w[i] * v[k - i]
             expected = MultiLaurent.const(n, 1 if k == 0 else 0)
