@@ -288,11 +288,12 @@ def cmd_selfcheck(args, out):
     expected = 1
     for k in range(1, n + 1):
         expected *= 2 * k - 1
-    if tableaux.sum_of_squares(n) != expected:
+    counts = tableaux.path_counts(n)
+    if sum(c * c for c in counts.values()) != expected:
         failures.append("path-count square sum mismatch at level %d" % n)
     if n <= 4 and not wheelpoly.newton_check(n, min(2 * n, 8)):
         failures.append("newton identities failed at level %d" % n)
-    for lam, count in tableaux.path_counts(n).items():
+    for lam, count in counts.items():
         if count != len(tableaux.enumerate_paths(n, lam)):
             failures.append("path count mismatch at %s" % (lam,))
     if args.format == "json":

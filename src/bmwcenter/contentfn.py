@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import RegimeMismatch
-from .partitions import Partition, diagonal_datum, skew_datum
+from .partitions import Partition, diagonal_datum
 from .scalars import ADD, Content, Regime, content_value, expand_W_series
 from .tableaux import labeled
 from .wheelpoly import evaluate, wheel_coefficients
@@ -45,14 +45,6 @@ class WheelSignature:
 
     def sorted_entries(self):
         return sorted(self.exponents.items(), key=lambda kv: (kv[0].a, kv[0].b))
-
-    def merge(self, other):
-        """Signature of the product of the two rational functions."""
-        if self.kind != other.kind:
-            raise RegimeMismatch("cannot merge signatures of different regimes")
-        out = Counter(self.exponents)
-        out.update(other.exponents)
-        return WheelSignature(self.kind, out)
 
     def __str__(self):
         if self.is_trivial:
@@ -112,27 +104,6 @@ def drunk_content_values(n, lam: Partition, r: Regime):
 def signature(n, lam: Partition, r: Regime) -> WheelSignature:
     """Reduced signature of W(lam, t) at level n."""
     return reduce_values(drunk_content_values(n, lam, r), r.kind)
-
-
-def signature_equal(a: WheelSignature, b: WheelSignature) -> bool:
-    if a.kind != b.kind:
-        raise RegimeMismatch("signatures come from different regimes")
-    return a == b
-
-
-def skew_signature(lam: Partition, mu: Partition, r: Regime) -> WheelSignature:
-    """Signature of W(lam/mu, t): contents (Add, i) with skew multiplicities."""
-    values = []
-    for i, m in sorted(skew_datum(lam, mu).items()):
-        values.extend([content_value(Content(ADD, i), r)] * m)
-    return reduce_values(values, r.kind)
-
-
-def multiplicativity_check(lam: Partition, mu: Partition, r: Regime) -> bool:
-    """W(lam,t) = W(mu,t) * W(lam/mu,t) at the reduced level."""
-    lhs = signature(lam.size, lam, r)
-    rhs = signature(mu.size, mu, r).merge(skew_signature(lam, mu, r))
-    return lhs == rhs
 
 
 def pairing_set(n, lam: Partition, r: Regime):

@@ -9,10 +9,6 @@ class ContainmentError(BmwError):
     """Raised when a skew operation needs mu contained in lambda."""
 
 
-class SizeMismatch(BmwError):
-    """Raised when comparing partitions of different sizes in dominance order."""
-
-
 class ShapeLevelMismatch(BmwError):
     """Raised when (shape, level) does not determine a valid defect."""
 

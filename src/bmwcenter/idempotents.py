@@ -105,25 +105,3 @@ def spectral_idempotent(n, lam: Partition, r: Regime = GENERIC) -> SpectralDiago
                         "interpolation on %r is neither 0 nor 1" % (path,))
                 values[path] = 1
     return SpectralDiagonal(n, lam, values)
-
-
-def orthogonality_check(n, r: Regime = GENERIC) -> bool:
-    """Each diagonal selects one path and distinct diagonals never overlap."""
-    diagonals = [spectral_idempotent(n, lp.shape, r) for lp in enumerate_lambda(n)]
-    drunk_set = set()
-    for d in diagonals:
-        sel = d.selected()
-        if len(sel) != 1 or sel[0] != drunk_path(n, d.shape):
-            return False
-        drunk_set.add(sel[0])
-    for a in range(len(diagonals)):
-        for b in range(a + 1, len(diagonals)):
-            for path, va in diagonals[a].values.items():
-                if va and diagonals[b].values.get(path):
-                    return False
-    # the pointwise sum over all diagonals is the drunk-path indicator
-    for path in diagonals[0].values:
-        total = sum(d.values[path] for d in diagonals)
-        if total != (1 if path in drunk_set else 0):
-            return False
-    return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import zip_longest
 
-from .errors import ContainmentError, SizeMismatch
+from .errors import ContainmentError
 
 
 class Partition(tuple):
@@ -19,10 +19,14 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        return tuple.__new__(cls, [int(p) for p in parts if p != 0])
+        parts = [int(p) for p in parts]
+        while parts and parts[-1] == 0:
+            parts.pop()
+        return tuple.__new__(cls, parts)
 
     def __init__(self, parts=()):
-        # checks the tuple __new__ built: parts may be a spent iterator
+        # checks the tuple __new__ built, trailing zeros dropped: parts may
+        # be a spent iterator, and an interior zero fails one of the checks
         for a, b in zip(self, self[1:]):
             if a < b:
                 raise ValueError("parts must be weakly decreasing: %r" % (tuple(self),))
@@ -43,24 +47,6 @@ class Partition(tuple):
         """Row-wise containment other_i <= self_i."""
         return len(other) <= len(self) and all(o <= m for o, m in zip(other, self))
 
-    def row(self, i):
-        """Length of 1-based row i (0 beyond the last row)."""
-        return self[i - 1] if 1 <= i <= len(self) else 0
-
-    def with_box_added(self, i, j):
-        rows = list(self)
-        if i == len(rows) + 1:
-            rows.append(0)
-        rows[i - 1] += 1
-        assert rows[i - 1] == j
-        return Partition(rows)
-
-    def with_box_removed(self, i, j):
-        rows = list(self)
-        rows[i - 1] -= 1
-        assert rows[i - 1] == j - 1
-        return Partition(rows)
-
 
 EMPTY = Partition()
 
@@ -71,16 +57,6 @@ def diagonal_datum(lam: Partition) -> Counter:
     A partition's diagonals form one interval and each holds a box.
     """
     return skew_datum(lam, EMPTY)
-
-
-def partition_of_diagonals(counts) -> Partition:
-    """The unique partition whose diagonal tally is counts."""
-    rows = Counter()
-    for i, m in counts.items():
-        # diagonal i starts at (1, 1+i) for i >= 0 and (1-i, 1) otherwise
-        r0 = 1 if i >= 0 else 1 - i
-        rows.update(range(r0, r0 + m))
-    return Partition(rows[r] for r in range(1, len(rows) + 1))
 
 
 def intersection(lam: Partition, mu: Partition) -> Partition:
@@ -96,62 +72,6 @@ def skew_datum(lam: Partition, mu: Partition) -> Counter:
     for i, (a, m) in enumerate(zip_longest(lam, mu, fillvalue=0), start=1):
         counts.update(range(m + 1 - i, a + 1 - i))  # boxes m < j <= a of row i
     return counts
-
-
-def boundary_boxes(lam: Partition):
-    """Removable and addable box positions of lam.
-
-    Removing a removable box leaves a partition, adding an addable box
-    yields one; there is always exactly one more addable than removable.
-    """
-    removable = set()
-    addable = set()
-    n = len(lam)
-    for i in range(1, n + 1):
-        p = lam[i - 1]
-        below = lam[i] if i < n else 0
-        if p > below:
-            removable.add((i, p))
-        above = lam[i - 2] if i >= 2 else None
-        if above is None or p < above:
-            addable.add((i, p + 1))
-    addable.add((n + 1, 1))
-    return removable, addable
-
-
-def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram."""
-    if not lam:
-        return EMPTY
-    return Partition(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
-
-
-EQUAL = "equal"
-DOMINATES = "dominates"
-DOMINATED = "dominated"
-INCOMPARABLE = "incomparable"
-
-
-def dominance(lam: Partition, mu: Partition) -> str:
-    """Dominance comparison of two partitions of the same size."""
-    if lam.size != mu.size:
-        raise SizeMismatch("|%s| != |%s|" % (lam, mu))
-    if lam == mu:
-        return EQUAL
-    ge = le = True
-    sl = sm = 0
-    for k in range(max(len(lam), len(mu))):
-        sl += lam.row(k + 1)
-        sm += mu.row(k + 1)
-        if sl < sm:
-            ge = False
-        if sl > sm:
-            le = False
-    if ge:
-        return DOMINATES
-    if le:
-        return DOMINATED
-    return INCOMPARABLE
 
 
 def text_of_partition(lam: Partition) -> str:
@@ -181,6 +101,3 @@ def partitions_of(m: int):
     if m >= 0:
         yield from _parts_rec(m, m, ())
 
-
-def all_partitions_of(m: int):
-    return list(partitions_of(m))

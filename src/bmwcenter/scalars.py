@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .errors import RegimeMismatch
-
 
 # ---------------------------------------------------------------------------
 # regimes
@@ -64,18 +62,18 @@ def power_regime(sign, exponent):
 
 def regime_from_text(text):
     """Parse "generic" | "q^N" | "-q^N" | "1"."""
-    text = text.strip()
-    if text == "generic":
+    spec = text.strip()
+    if spec == "generic":
         return GENERIC
-    if text == "1":
+    if spec == "1":
         return power_regime(1, 0)
-    sign = 1
-    if text.startswith("-"):
-        sign = -1
-        text = text[1:]
-    if not text.startswith("q^"):
-        raise ValueError("bad regime spec %r" % text)
-    return power_regime(sign, int(text[2:]))
+    sign, power = (-1, spec[1:]) if spec.startswith("-") else (1, spec)
+    if power.startswith("q^"):
+        try:
+            return power_regime(sign, int(power[2:]))
+        except ValueError:
+            pass
+    raise ValueError("bad regime spec %r" % text)
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +89,6 @@ class Content:
 
     s: int  # ADD or REMOVE
     i: int  # diagonal of the moved box
-
-    def inverse(self):
-        return Content(-self.s, self.i)
 
     def __str__(self):
         return "(%s, %d)" % ("add" if self.s == ADD else "remove", self.i)
@@ -111,23 +106,10 @@ class ContentValue:
     a: int  # power: sign in {+1,-1}; generic: exponent of t
     b: int  # power: exponent of q; generic: exponent of q
 
-    def __mul__(self, other):
-        if self.kind != other.kind:
-            raise RegimeMismatch("cannot multiply values of different regimes")
-        if self.kind == "power":
-            return ContentValue("power", self.a * other.a, self.b + other.b)
-        return ContentValue("generic", self.a + other.a, self.b + other.b)
-
     def inverse(self):
         if self.kind == "power":
             return ContentValue("power", self.a, -self.b)
         return ContentValue("generic", -self.a, -self.b)
-
-    @property
-    def is_identity(self):
-        if self.kind == "power":
-            return self.a == 1 and self.b == 0
-        return self.a == 0 and self.b == 0
 
     def monomial(self):
         """The value as a LaurentQT monomial."""
@@ -147,19 +129,6 @@ def content_value(c: Content, r: Regime) -> ContentValue:
         return ContentValue("generic", c.s, 2 * c.i * c.s)
     # t = eps q^N: (t q^{2i})^s = eps^s q^{s(N+2i)}; eps^s = eps for eps = +-1
     return ContentValue("power", r.sign, c.s * (r.exponent + 2 * c.i))
-
-
-def value_from_text(text, r: Regime) -> ContentValue:
-    text = text.strip()
-    if r.is_power:
-        sign = 1
-        if text.startswith("-"):
-            sign, text = -1, text[1:]
-        if not text.startswith("q^"):
-            raise ValueError("bad value text %r" % text)
-        return ContentValue("power", sign, int(text[2:]))
-    left, right = text.split("*")
-    return ContentValue("generic", int(left[2:]), int(right[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,24 +252,6 @@ class LaurentQT:
     def monomial_inverse(self):
         return self.pow(-1)
 
-    def map_exponents(self, f):
-        """The polynomial with each exponent tuple e replaced by f(e)."""
-        out = {}
-        for e, c in self.terms.items():
-            k = f(e)
-            w = out.get(k)
-            if w is None:
-                out[k] = c
-            else:
-                w += c
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
-        r = _new(type(self))
-        r.terms = out
-        return r
-
     def _format(self, names):
         """Terms in exponent order, each variable written as name^exponent."""
         if not self.terms:
@@ -319,29 +270,6 @@ class LaurentQT:
 
     def __repr__(self):
         return "LaurentQT(%s)" % self
-
-
-def quantum_integer(N: int) -> LaurentQT:
-    """[N]_q = (q^N - q^-N)/(q - q^-1), antisymmetric in N."""
-    if N == 0:
-        return LaurentQT()
-    if N < 0:
-        return -quantum_integer(-N)
-    return LaurentQT({(e, 0): 1 for e in range(N - 1, -N - 1, -2)})
-
-
-def delta(r: Regime):
-    """The loop value (t - t^-1)/(q - q^-1) + 1.
-
-    Power regimes evaluate exactly to [sign*N]_q + 1.  Generic returns the
-    unevaluated (numerator, denominator) pair of Laurent polynomials.
-    """
-    if r.is_power:
-        return quantum_integer(r.sign * r.exponent) + LaurentQT.const(1)
-    num = (LaurentQT.monomial(0, 1) - LaurentQT.monomial(0, -1)
-           + LaurentQT.monomial(1) - LaurentQT.monomial(-1))
-    den = LaurentQT.monomial(1) - LaurentQT.monomial(-1)
-    return num, den
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import ResourceLimit, ShapeLevelMismatch
-from .partitions import (EMPTY, Partition, boundary_boxes, dominance,
-                         DOMINATES, partitions_of, text_of_partition)
+from .partitions import EMPTY, Partition, partitions_of, text_of_partition
 from .scalars import ADD, REMOVE, Content, Regime, content_value
 
 # enumerations of more paths than this are refused with ResourceLimit before
@@ -106,11 +105,18 @@ def enumerate_lambda(n):
 
 @lru_cache(maxsize=None)
 def children(shape):
-    """Children of shape in the branching graph: added boxes, then removed
-    ones, each in box order."""
-    removable, addable = boundary_boxes(shape)
-    return (tuple(shape.with_box_added(i, j) for (i, j) in sorted(addable))
-            + tuple(shape.with_box_removed(i, j) for (i, j) in sorted(removable)))
+    """Children of shape in the branching graph: the shapes with a box
+    added, then those with a box removed, each from the top row down.
+
+    A box can be added to the first row, or to a row shorter than the one
+    above it (one past the last row included), and removed from a row
+    longer than the one below it.
+    """
+    rows = (*shape, 0)
+    return (tuple(Partition((*rows[:i], p + 1, *rows[i + 1:]))
+                  for i, p in enumerate(rows) if i == 0 or rows[i - 1] > p)
+            + tuple(Partition((*rows[:i], p - 1, *rows[i + 1:]))
+                    for i, p in enumerate(shape) if p > rows[i + 1]))
 
 
 def _refuse_above_cap(count, what):
@@ -192,11 +198,6 @@ def check_level_cap(n):
         _refuse_above_cap(sum(counts.values()), "level %d" % n)
 
 
-def sum_of_squares(n):
-    """Sum of squared path counts over Lambda_n; (2n-1)!! when semisimple."""
-    return sum(c * c for c in path_counts(n).values())
-
-
 def canonical_path(lam: Partition) -> UpDownTableau:
     """Row-filling path: complete each row before starting the next."""
     steps = [EMPTY]
@@ -217,29 +218,6 @@ def drunk_path(n, lam: Partition) -> UpDownTableau:
         steps.extend([box, EMPTY])
     steps.extend(canonical_path(lam)[1:])
     return UpDownTableau(steps)
-
-
-def ruisi_greater(s: UpDownTableau, t: UpDownTableau):
-    """Rui-Si order: s > t if at the last level where they differ, s's shape
-    is strictly above t's (smaller size means larger defect, which wins;
-    equal sizes compare by dominance)."""
-    if s.level != t.level or s.shape != t.shape:
-        return False
-    for k in range(s.level - 1, -1, -1):
-        a, b = s[k], t[k]
-        if a == b:
-            continue
-        if a.size != b.size:
-            return a.size < b.size
-        return dominance(a, b) == DOMINATES
-    return False
-
-
-def restriction_shapes(n, lam: Partition):
-    """Level-(n-1) shapes on paths to lam: the first step of the backward
-    recursion in ``enumerate_paths``, so nothing is enumerated."""
-    labeled(n, lam)
-    return {m for m in children(lam) if m.size < n}
 
 
 def branching_graph(n, regime: Regime):

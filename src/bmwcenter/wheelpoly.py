@@ -76,11 +76,6 @@ def wheel_coefficients(n, K):
     return list(_wheel_series(n, K)[:K + 1])
 
 
-def elementary_wheel(n, k) -> MultiLaurent:
-    """w_k: the T^k coefficient of the wheel generating function."""
-    return wheel_coefficients(n, k)[k]
-
-
 def power_sum(n, k) -> MultiLaurent:
     """p_k^- = sum_i (x_i^k - x_i^{-k}); zero for k = 0."""
     return sum((MultiLaurent.variable(n, i, k) - MultiLaurent.variable(n, i, -k)
@@ -109,23 +104,6 @@ def newton_check(n, K) -> bool:
         if rhs != power_sum(n, k):
             return False
     return True
-
-
-def is_symmetric(p: MultiLaurent) -> bool:
-    """Invariance under all adjacent transpositions."""
-    return all(p.map_exponents(lambda e: e[:i] + (e[i + 1], e[i]) + e[i + 2:]) == p
-               for i in range(p.n - 1))
-
-
-def is_wheel(p: MultiLaurent) -> bool:
-    """Symmetric and p(x1, x1^{-1}, x3, ...) = p(1, 1, x3, ...)."""
-    if not is_symmetric(p):
-        return False
-    if p.n < 2:
-        return True
-    lhs = p.map_exponents(lambda e: (e[0] - e[1], 0) + e[2:])
-    rhs = p.map_exponents(lambda e: (0, 0) + e[2:])
-    return lhs == rhs
 
 
 def evaluate(p: MultiLaurent, values, r: Regime) -> LaurentQT:

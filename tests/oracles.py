@@ -1,0 +1,227 @@
+"""Reference checks of the paper's properties, kept beside the tests.
+
+Nothing in ``bmwcenter`` calls these: they are slow, direct restatements
+of definitions (box geometry, dominance, the Rui-Si order, wheel
+membership, multiplicativity of W, orthogonality of the idempotents) that
+the tests hold the library's fast paths against.
+"""
+
+from collections import Counter
+
+from bmwcenter.contentfn import WheelSignature, reduce_values, signature
+from bmwcenter.errors import RegimeMismatch
+from bmwcenter.idempotents import spectral_idempotent
+from bmwcenter.partitions import EMPTY, Partition, skew_datum
+from bmwcenter.scalars import ADD, GENERIC, Content, ContentValue, content_value
+from bmwcenter.tableaux import drunk_path, enumerate_lambda
+
+# ---------------------------------------------------------------------------
+# Young-diagram geometry
+
+
+def row(lam, i):
+    """Length of 1-based row i of lam (0 beyond the last row)."""
+    return lam[i - 1] if 1 <= i <= len(lam) else 0
+
+
+def conjugate(lam):
+    """Transpose of the Young diagram."""
+    if not lam:
+        return EMPTY
+    return Partition(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+
+
+def partition_of_diagonals(counts):
+    """The unique partition whose diagonal tally is counts."""
+    rows = Counter()
+    for i, m in counts.items():
+        # diagonal i starts at (1, 1+i) for i >= 0 and (1-i, 1) otherwise
+        r0 = 1 if i >= 0 else 1 - i
+        rows.update(range(r0, r0 + m))
+    return Partition(rows[r] for r in range(1, len(rows) + 1))
+
+
+def boundary_boxes(lam):
+    """Removable and addable box positions (i, j) of lam.
+
+    Removing a removable box leaves a partition, adding an addable box
+    yields one; there is always exactly one more addable than removable.
+    """
+    removable = set()
+    addable = {(len(lam) + 1, 1)}
+    for i in range(1, len(lam) + 1):
+        p = row(lam, i)
+        if p > row(lam, i + 1):
+            removable.add((i, p))
+        if i == 1 or p < row(lam, i - 1):
+            addable.add((i, p + 1))
+    return removable, addable
+
+
+def with_box_added(lam, i, j):
+    rows = [row(lam, k) for k in range(1, max(len(lam), i) + 1)]
+    rows[i - 1] += 1
+    assert rows[i - 1] == j
+    return Partition(rows)
+
+
+def with_box_removed(lam, i, j):
+    rows = list(lam)
+    rows[i - 1] -= 1
+    assert rows[i - 1] == j - 1
+    return Partition(rows)
+
+
+def children_by_boxes(lam):
+    """The branching step from box positions: added boxes, then removed
+    ones, each in box order."""
+    removable, addable = boundary_boxes(lam)
+    return ([with_box_added(lam, i, j) for (i, j) in sorted(addable)]
+            + [with_box_removed(lam, i, j) for (i, j) in sorted(removable)])
+
+
+EQUAL = "equal"
+DOMINATES = "dominates"
+DOMINATED = "dominated"
+INCOMPARABLE = "incomparable"
+
+
+def dominance(lam, mu):
+    """Dominance comparison of two partitions of the same size."""
+    if lam.size != mu.size:
+        raise ValueError("|%s| != |%s|" % (lam, mu))
+    if lam == mu:
+        return EQUAL
+    ge = le = True
+    sl = sm = 0
+    for k in range(1, max(len(lam), len(mu)) + 1):
+        sl += row(lam, k)
+        sm += row(mu, k)
+        if sl < sm:
+            ge = False
+        if sl > sm:
+            le = False
+    if ge:
+        return DOMINATES
+    if le:
+        return DOMINATED
+    return INCOMPARABLE
+
+
+def ruisi_greater(s, t):
+    """Rui-Si order: s > t if at the last level where they differ, s's shape
+    is strictly above t's (smaller size means larger defect, which wins;
+    equal sizes compare by dominance)."""
+    if s.level != t.level or s.shape != t.shape:
+        return False
+    for k in range(s.level - 1, -1, -1):
+        a, b = s[k], t[k]
+        if a == b:
+            continue
+        if a.size != b.size:
+            return a.size < b.size
+        return dominance(a, b) == DOMINATES
+    return False
+
+
+# ---------------------------------------------------------------------------
+# content values and wheel signatures
+
+
+def value_product(v, w):
+    """v * w in the value group: {+-1} x Z at t = +-q^N, Z^2 generically."""
+    if v.kind != w.kind:
+        raise RegimeMismatch("cannot multiply values of different regimes")
+    if v.kind == "power":
+        return ContentValue("power", v.a * w.a, v.b + w.b)
+    return ContentValue("generic", v.a + w.a, v.b + w.b)
+
+
+def is_one(v):
+    """Whether v is the identity value (1, q^0 or t^0 q^0)."""
+    return (v.a, v.b) == ((1, 0) if v.kind == "power" else (0, 0))
+
+
+def power_sig(entries):
+    """The power-regime signature with exponent e at value q^b, for {b: e}."""
+    return WheelSignature("power", {ContentValue("power", 1, b): e
+                                    for b, e in entries.items()})
+
+
+def merge(a, b):
+    """Signature of the product of the two rational functions."""
+    if a.kind != b.kind:
+        raise RegimeMismatch("cannot merge signatures of different regimes")
+    out = Counter(a.exponents)
+    out.update(b.exponents)
+    return WheelSignature(a.kind, out)
+
+
+def skew_signature(lam, mu, r):
+    """Signature of W(lam/mu, t): contents (Add, i) with skew multiplicities."""
+    values = []
+    for i, m in sorted(skew_datum(lam, mu).items()):
+        values.extend([content_value(Content(ADD, i), r)] * m)
+    return reduce_values(values, r.kind)
+
+
+def multiplicativity_check(lam, mu, r):
+    """W(lam,t) = W(mu,t) * W(lam/mu,t) at the reduced level."""
+    lhs = signature(lam.size, lam, r)
+    rhs = merge(signature(mu.size, mu, r), skew_signature(lam, mu, r))
+    return lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# wheel Laurent polynomials
+
+
+def map_exponents(p, f):
+    """p with each exponent tuple e replaced by f(e), like terms summed."""
+    out = Counter()
+    for e, c in p.terms.items():
+        out[f(e)] += c
+    return type(p)(out)
+
+
+def is_symmetric(p):
+    """Invariance under all adjacent transpositions."""
+    return all(map_exponents(p, lambda e: e[:i] + (e[i + 1], e[i]) + e[i + 2:]) == p
+               for i in range(p.n - 1))
+
+
+def is_wheel(p):
+    """Symmetric and p(x1, x1^{-1}, x3, ...) = p(1, 1, x3, ...)."""
+    if not is_symmetric(p):
+        return False
+    if p.n < 2:
+        return True
+    lhs = map_exponents(p, lambda e: (e[0] - e[1], 0) + e[2:])
+    rhs = map_exponents(p, lambda e: (0, 0) + e[2:])
+    return lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# idempotents
+
+
+def orthogonality_check(n, r=GENERIC):
+    """Each diagonal selects one path and distinct diagonals never overlap."""
+    diagonals = [spectral_idempotent(n, lp.shape, r) for lp in enumerate_lambda(n)]
+    drunk_set = set()
+    for d in diagonals:
+        sel = d.selected()
+        if len(sel) != 1 or sel[0] != drunk_path(n, d.shape):
+            return False
+        drunk_set.add(sel[0])
+    for a in range(len(diagonals)):
+        for b in range(a + 1, len(diagonals)):
+            for path, va in diagonals[a].values.items():
+                if va and diagonals[b].values.get(path):
+                    return False
+    # the pointwise sum over all diagonals is the drunk-path indicator
+    for path in diagonals[0].values:
+        total = sum(d.values[path] for d in diagonals)
+        if total != (1 if path in drunk_set else 0):
+            return False
+    return True

@@ -7,25 +7,20 @@ from bmwcenter.blocks import (check_admissible, is_admissible, is_semisimple,
                               verify_block_theorem)
 from bmwcenter.center import (adaptive_matrix, separation_classes,
                               theorem1_predicate)
-from bmwcenter.contentfn import (WheelSignature, drunk_content_values,
-                                 drunk_contents, pairing_set, signature,
-                                 signature_equal)
-from bmwcenter.idempotents import orthogonality_check, spectral_idempotent
+from bmwcenter.contentfn import drunk_contents, pairing_set, signature
+from bmwcenter.idempotents import spectral_idempotent
 from bmwcenter.partitions import (EMPTY, Partition, diagonal_datum,
-                                  partition_of_diagonals, partitions_of)
+                                  partitions_of)
 from bmwcenter.scalars import (ContentValue, GENERIC, content_value,
                                power_regime)
-from bmwcenter.tableaux import (UpDownTableau, content_sequence, drunk_path,
-                                enumerate_lambda, enumerate_paths,
-                                restriction_shapes, sum_of_squares)
-from bmwcenter.wheelpoly import (MultiLaurent, elementary_wheel,
-                                 inverse_coeffs, is_wheel, newton_check,
-                                 power_sum, evaluate)
-
-
-def power_sig(entries):
-    return WheelSignature("power", {ContentValue("power", 1, b): e
-                                    for b, e in entries.items()})
+from bmwcenter.tableaux import (UpDownTableau, children, content_sequence,
+                                drunk_path, enumerate_lambda, enumerate_paths,
+                                path_counts)
+from bmwcenter.wheelpoly import (MultiLaurent, inverse_coeffs, newton_check,
+                                 power_sum, evaluate, wheel_coefficients)
+from oracles import (boundary_boxes, is_wheel, orthogonality_check,
+                     partition_of_diagonals, power_sig, with_box_added,
+                     with_box_removed)
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +41,8 @@ def test_golden_content_sequence():
 
 
 def test_golden_two_variable_identities():
-    assert elementary_wheel(2, 1) == power_sum(2, 1)
-    w1 = elementary_wheel(2, 1)
-    w2 = elementary_wheel(2, 2)
+    _, w1, w2 = wheel_coefficients(2, 2)
+    assert w1 == power_sum(2, 1)
     assert power_sum(2, 2) == 2 * w2 - w1 * w1
 
 
@@ -126,7 +120,7 @@ def test_level_three_exceptional_regimes_separate():
 def test_odd_power_collision_witnesses():
     def collide(n, a, lam, mu):
         r = power_regime(1, 2 * a - 1)
-        return signature_equal(signature(n, lam, r), signature(n, mu, r))
+        return signature(n, lam, r) == signature(n, mu, r)
 
     # a = 1: W((n-2,2)) = W((n-2))
     for n in (4, 5):
@@ -159,7 +153,7 @@ def test_drunk_multiset_oracle():
 
 def test_wheel_evaluations_are_path_independent():
     for n in range(1, 6):
-        wheels = [elementary_wheel(n, k) for k in range(min(4, n * 4) + 1)]
+        wheels = wheel_coefficients(n, min(4, n * 4))
         for lp in enumerate_lambda(n):
             reference = None
             for path in enumerate_paths(n, lp.shape):
@@ -180,7 +174,7 @@ def test_newton_and_inverse_identities():
     for n in range(1, 5):
         K = min(8, 4 * n)
         assert newton_check(n, K)
-        w = [elementary_wheel(n, k) for k in range(K + 1)]
+        w = wheel_coefficients(n, K)
         v = inverse_coeffs(n, K)
         for k in range(K + 1):
             conv = MultiLaurent()
@@ -207,8 +201,7 @@ def test_block_theorem_sweep():
 
 def test_block_counterexample_regression():
     r = power_regime(1, -1)
-    assert signature_equal(signature(2, EMPTY, r),
-                           signature(2, Partition((2,)), r))
+    assert signature(2, EMPTY, r) == signature(2, Partition((2,)), r)
     from bmwcenter.blocks import block_equivalent, block_partition
     from bmwcenter.tableaux import labeled
     assert not block_equivalent(labeled(2, EMPTY), labeled(2, Partition((2,))), r)
@@ -252,7 +245,7 @@ def test_squared_path_counts():
     expected = 1
     for n in range(1, 8):
         expected *= 2 * n - 1
-        assert sum_of_squares(n) == expected
+        assert sum(c * c for c in path_counts(n).values()) == expected
 
 
 def test_diagonal_datum_round_trip():
@@ -267,11 +260,10 @@ def test_restriction_sets_are_adjacent_shapes():
             lam = lp.shape
             expected = set()
             # lam - box always fits; lam + box needs a spare excursion
-            from bmwcenter.partitions import boundary_boxes
             removable, addable = boundary_boxes(lam)
             for (i, j) in removable:
-                expected.add(lam.with_box_removed(i, j))
+                expected.add(with_box_removed(lam, i, j))
             if lp.defect >= 1:
                 for (i, j) in addable:
-                    expected.add(lam.with_box_added(i, j))
-            assert restriction_shapes(n, lam) == expected, lp
+                    expected.add(with_box_added(lam, i, j))
+            assert {m for m in children(lam) if m.size < n} == expected, lp

@@ -167,6 +167,17 @@ def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["separate", "--n", "2", "--t", "bogus"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # the bad value is quoted as given; a zero inside a shape is refused
+    for argv, message in (
+            (["separate", "--n", "3", "--t", "-1"], "bad regime spec '-1'"),
+            (["signature", "--n", "2", "--shape", "1,0,1"], "weakly decreasing")):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2 and message in capsys.readouterr().err
+    # trailing zeros are dropped
+    assert invoke(capsys, "signature", "--n", "2", "--shape", "1,1,0") == invoke(
+        capsys, "signature", "--n", "2", "--shape", "1,1")
 
 
 @pytest.mark.parametrize("argv", [

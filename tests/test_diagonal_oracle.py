@@ -13,6 +13,7 @@ from bmwcenter.blocks import check_admissible
 from bmwcenter.contentfn import pairing_set
 from bmwcenter.partitions import diagonal_datum, partitions_of, skew_datum
 from bmwcenter.scalars import ADD, Content, content_value, power_regime
+from oracles import is_one, value_product
 
 MAX_SIZE = 8
 REGIMES = [power_regime(eps, N) for eps in (1, -1) for N in range(-9, 10)]
@@ -30,15 +31,15 @@ def oracle_admissible(lam, f, mu, r):
     sd = skew_datum(lam, mu)
     value = _values(sd, r)
     failed = []
-    if any(not any((value[i] * value[j]).is_identity and sd[i] == sd[j]
+    if any(not any(is_one(value_product(value[i], value[j])) and sd[i] == sd[j]
                    for j in sd) for i in sd):
         failed.append(2)
     for i in sorted(sd):
         v = value[i]
-        if ((v.a, v.b) == (1, 1) and (v * value.get(i - 1, v)).is_identity
+        if ((v.a, v.b) == (1, 1) and is_one(value_product(v, value.get(i - 1, v)))
                 and sd[i - 1] and sd[i] % 2):
             failed.append(3)
-        if ((v.a, v.b) == (-1, -1) and (v * value.get(i + 1, v)).is_identity
+        if ((v.a, v.b) == (-1, -1) and is_one(value_product(v, value.get(i + 1, v)))
                 and sd[i + 1] and sd[i] % 2):
             failed.append(4)
     return failed
@@ -50,7 +51,7 @@ def oracle_mates(lam, r):
     mates = {}
     for i in value:
         partners = tuple(sorted(j for j in value
-                                if (value[i] * value[j]).is_identity))
+                                if is_one(value_product(value[i], value[j]))))
         if partners:
             mates[i] = partners
     return mates

@@ -12,6 +12,7 @@ To record the files again (only when an output is meant to change):
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import io
 import pathlib
 from contextlib import redirect_stdout
@@ -83,6 +84,14 @@ def _stdout(argv):
 def test_golden_transcript(argv):
     expected = (GOLDEN / (_name(argv) + ".out")).read_text()
     assert _stdout(argv) == expected
+
+
+def test_family_n4_generic_digest():
+    # the generic n = 4 family has no transcript; its stdout is pinned by
+    # digest, recorded before any change to the symbolic elimination
+    out = _stdout(["family", "--n", "4"]).encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "c5f4d272b5b9a2b1f172565b9fdd74cc8ad2a220577399c296a821119408aa78")
 
 
 if __name__ == "__main__":

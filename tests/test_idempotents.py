@@ -3,12 +3,12 @@
 import pytest
 
 from bmwcenter.errors import RegimeMismatch, ResourceLimit
-from bmwcenter.idempotents import (extension_contents, orthogonality_check,
-                                   spectral_idempotent)
+from bmwcenter.idempotents import extension_contents, spectral_idempotent
 from bmwcenter.partitions import EMPTY, Partition
 from bmwcenter.scalars import GENERIC, LaurentQT, content_value, power_regime
 from bmwcenter.tableaux import (children, content_sequence, drunk_path,
                                 enumerate_lambda, enumerate_paths)
+from oracles import orthogonality_check
 
 
 def test_extension_contents_counts():

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from bmwcenter.errors import ContainmentError, SizeMismatch
-from bmwcenter.partitions import (DOMINATED, DOMINATES, EMPTY, EQUAL,
-                                  INCOMPARABLE, Partition, all_partitions_of,
-                                  boundary_boxes, conjugate, diagonal_datum,
-                                  dominance, intersection, partition_from_text,
-                                  partition_of_diagonals, partitions_of,
-                                  skew_datum, text_of_partition)
+from bmwcenter.errors import ContainmentError
+from bmwcenter.partitions import (EMPTY, Partition, diagonal_datum,
+                                  intersection, partition_from_text,
+                                  partitions_of, skew_datum, text_of_partition)
+from bmwcenter.tableaux import children
+from oracles import (DOMINATED, DOMINATES, EQUAL, INCOMPARABLE, boundary_boxes,
+                     children_by_boxes, conjugate, dominance,
+                     partition_of_diagonals, row, with_box_added,
+                     with_box_removed)
 
 # number of partitions of 0..12
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -27,10 +29,10 @@ def test_normalization_drops_zeros():
 
 
 def test_rejects_bad_parts():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, -1))
+    # only trailing zeros are dropped: an interior zero is an error
+    for bad in ((1, 2), (2, -1), (1, 0, 1), (0, 1), (2, 0, 0, 1), (1, 0, -1)):
+        with pytest.raises(ValueError):
+            Partition(bad)
 
 
 def test_boxes_and_size():
@@ -38,7 +40,7 @@ def test_boxes_and_size():
     assert _boxes(lam) == [(1, 1), (1, 2), (1, 3), (2, 1)]
     assert lam.size == 4
     assert len(lam) == 2
-    assert lam.row(1) == 3 and lam.row(2) == 1 and lam.row(5) == 0
+    assert row(lam, 1) == 3 and row(lam, 2) == 1 and row(lam, 5) == 0
 
 
 def test_contains():
@@ -49,7 +51,7 @@ def test_contains():
 
 def test_partition_counts():
     for m, expected in enumerate(PARTITION_NUMBERS):
-        assert len(all_partitions_of(m)) == expected
+        assert len(list(partitions_of(m))) == expected
 
 
 def test_partitions_are_distinct_and_valid():
@@ -68,7 +70,7 @@ def test_diagonal_datum_matches_box_tally():
                 tally[j - i] = tally.get(j - i, 0) + 1
             assert dd == tally
             # one interval of diagonals, each holding a box
-            assert sorted(dd) == list(range(-len(lam) + 1, lam.row(1)))
+            assert sorted(dd) == list(range(-len(lam) + 1, row(lam, 1)))
 
 
 def test_diagonal_datum_round_trip():
@@ -113,16 +115,18 @@ def test_boundary_boxes_oracle():
             removable, addable = boundary_boxes(lam)
             assert len(addable) == len(removable) + 1
             for (i, j) in removable:
-                smaller = lam.with_box_removed(i, j)
+                smaller = with_box_removed(lam, i, j)
                 assert smaller.size == m - 1 and lam.contains(smaller)
             for (i, j) in addable:
-                bigger = lam.with_box_added(i, j)
+                bigger = with_box_added(lam, i, j)
                 assert bigger.size == m + 1 and bigger.contains(lam)
             # brute force: every partition one box away is reachable
             nearby = {p for p in partitions_of(m - 1) if lam.contains(p)}
-            assert {lam.with_box_removed(i, j) for i, j in removable} == nearby
+            assert {with_box_removed(lam, i, j) for i, j in removable} == nearby
             above = {p for p in partitions_of(m + 1) if p.contains(lam)}
-            assert {lam.with_box_added(i, j) for i, j in addable} == above
+            assert {with_box_added(lam, i, j) for i, j in addable} == above
+            # the branching step builds the same shapes, in box order
+            assert list(children(lam)) == children_by_boxes(lam)
 
 
 def test_dominance_cases():
@@ -130,13 +134,13 @@ def test_dominance_cases():
     assert dominance(Partition((3,)), Partition((2, 1))) == DOMINATES
     assert dominance(Partition((1, 1, 1)), Partition((2, 1))) == DOMINATED
     assert dominance(Partition((4, 1, 1)), Partition((3, 3))) == INCOMPARABLE
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(ValueError):
         dominance(Partition((2,)), Partition((1,)))
 
 
 def test_dominance_antisymmetry():
     rng = random.Random(7)
-    parts = all_partitions_of(7)
+    parts = list(partitions_of(7))
     for _ in range(50):
         a, b = rng.choice(parts), rng.choice(parts)
         fwd, bwd = dominance(a, b), dominance(b, a)

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bmwcenter import center  # noqa: E402
 from bmwcenter.blocks import is_semisimple, verify_block_theorem  # noqa: E402
-from bmwcenter.contentfn import multiplicativity_check  # noqa: E402
 from bmwcenter.errors import ZeroDenominator  # noqa: E402
 from bmwcenter.partitions import partitions_of  # noqa: E402
 from bmwcenter.scalars import GENERIC, LaurentQT, power_regime  # noqa: E402
 from bmwcenter.tableaux import (UpDownTableau, enumerate_lambda,  # noqa: E402
                                 enumerate_paths, path_counts)
+from oracles import multiplicativity_check  # noqa: E402
 
 LEVEL_AND_SHAPE = st.integers(0, 9).flatmap(
     lambda n: st.sampled_from([(n, lp.shape) for lp in enumerate_lambda(n)]))
@@ -53,6 +53,23 @@ def test_packing_round_trips_and_multiplies(pair):
     assert codec.terms(x) == len(a.terms)
     assert codec.unpack(x * y, [0, 1]) == a * b
     assert codec.terms(x * y) == len((a * b).terms)
+
+
+# small matrices, univariate or bivariate like POLY_PAIRS, with some entries
+# zero and some rows repeated, so that rank deficiency is common
+MATRICES = st.sampled_from([st.just(0), st.integers(-4, 4)]).flatmap(
+    lambda ts: st.integers(1, 4).flatmap(lambda cols: st.lists(
+        st.lists(_polys(ts), min_size=cols, max_size=cols), min_size=1, max_size=4)
+        .flatmap(lambda rows: st.lists(st.sampled_from(rows), min_size=len(rows),
+                                       max_size=len(rows) + 2))))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(MATRICES)
+def test_specialized_rank_bounds_exact_rank(m):
+    exact = center.bareiss_rank(m)
+    assert center._specialized_rank(m) <= exact <= min(len(m), len(m[0]))
+    assert center.matrix_rank(m) == exact
 
 
 @settings(max_examples=150, deadline=None, database=None)

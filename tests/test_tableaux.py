@@ -6,14 +6,14 @@ import pytest
 
 from bmwcenter import tableaux
 from bmwcenter.errors import ResourceLimit, ShapeLevelMismatch
-from bmwcenter.partitions import EMPTY, Partition, all_partitions_of, boundary_boxes
+from bmwcenter.partitions import EMPTY, Partition, partitions_of
 from bmwcenter.scalars import ADD, GENERIC, REMOVE
 from bmwcenter.tableaux import (UpDownTableau, branching_graph,
                                 branching_graph_dot, canonical_path,
-                                check_level_cap, content_sequence, drunk_path,
-                                enumerate_lambda, enumerate_paths, labeled,
-                                path_counts, restriction_shapes, ruisi_greater,
-                                sum_of_squares)
+                                check_level_cap, children, content_sequence,
+                                drunk_path, enumerate_lambda, enumerate_paths,
+                                labeled, path_counts)
+from oracles import children_by_boxes, ruisi_greater
 
 LAMBDA_SIZES = {1: 1, 2: 3, 3: 4, 4: 8, 5: 11, 6: 19}
 
@@ -68,7 +68,7 @@ def test_path_counts_match_enumeration():
 
 def test_sum_of_squares_double_factorial():
     for n in range(1, 8):
-        assert sum_of_squares(n) == double_factorial(n)
+        assert sum(c * c for c in path_counts(n).values()) == double_factorial(n)
 
 
 def test_canonical_path_fills_rows():
@@ -108,7 +108,8 @@ def test_ruisi_requires_same_endpoint():
 def test_restriction_shapes_are_adjacent():
     for n in range(1, 7):
         for lp in enumerate_lambda(n):
-            got = restriction_shapes(n, lp.shape)
+            # the first step of the backward recursion in enumerate_paths
+            got = {m for m in children(lp.shape) if m.size < n}
             expected = set()
             for mu in path_counts(n - 1) if n > 1 else {EMPTY: 1}:
                 diff = abs(mu.size - lp.shape.size)
@@ -161,11 +162,8 @@ def oracle_paths(n, lam):
             if cur == lam:
                 out.append(UpDownTableau(prefix))
             return
-        removable, addable = boundary_boxes(cur)
-        children = ([cur.with_box_added(i, j) for (i, j) in sorted(addable)]
-                    + [cur.with_box_removed(i, j) for (i, j) in sorted(removable)])
         remaining = n - k - 1
-        for nxt in children:
+        for nxt in children_by_boxes(cur):
             inter = sum(min(a, b) for a, b in zip(nxt, lam))
             need = nxt.size + lam.size - 2 * inter
             if need <= remaining and (remaining - need) % 2 == 0:
@@ -187,7 +185,7 @@ def test_restriction_shapes_are_truncations():
         for lp in enumerate_lambda(n):
             truncations = {p.truncated(n - 1).shape
                            for p in enumerate_paths(n, lp.shape)}
-            assert restriction_shapes(n, lp.shape) == truncations
+            assert {m for m in children(lp.shape) if m.size < n} == truncations
 
 
 def test_trusted_tableaux_equal_validated_ones():
@@ -203,7 +201,7 @@ def test_trusted_tableaux_equal_validated_ones():
 
 
 def test_shapes_and_paths_are_tuples():
-    shapes = all_partitions_of(6)
+    shapes = list(partitions_of(6))
     for lam in shapes:
         assert isinstance(lam, tuple) and hash(lam) == hash(tuple(lam))
     assert [tuple(lam) for lam in sorted(shapes)] == sorted(tuple(lam) for lam in shapes)

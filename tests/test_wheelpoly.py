@@ -8,10 +8,10 @@ from bmwcenter.errors import ResourceLimit
 from bmwcenter.partitions import Partition
 from bmwcenter.scalars import GENERIC, power_regime, wheel_series
 from bmwcenter.contentfn import drunk_content_values
-from bmwcenter.wheelpoly import (MultiLaurent, degree_cap, elementary_wheel,
-                                 evaluate, inverse_coeffs, is_symmetric,
-                                 is_wheel, newton_check, power_sum,
+from bmwcenter.wheelpoly import (MultiLaurent, degree_cap, evaluate,
+                                 inverse_coeffs, newton_check, power_sum,
                                  wheel_coefficients)
+from oracles import is_symmetric, is_wheel
 
 
 def x(n, i, p=1):
@@ -20,18 +20,18 @@ def x(n, i, p=1):
 
 def test_w0_is_one():
     for n in range(1, 5):
-        assert elementary_wheel(n, 0) == MultiLaurent.const(n, 1)
+        assert wheel_coefficients(n, 0) == [MultiLaurent.const(n, 1)]
 
 
 def test_w1_two_variables_golden():
     expected = x(2, 0) - x(2, 0, -1) + x(2, 1) - x(2, 1, -1)
-    assert elementary_wheel(2, 1) == expected
+    assert wheel_coefficients(2, 1)[1] == expected
 
 
 def test_power_sum_basics():
     assert power_sum(3, 0).is_zero
     assert power_sum(1, 2) == x(1, 0, 2) - x(1, 0, -2)
-    assert power_sum(2, 1) == elementary_wheel(2, 1)
+    assert power_sum(2, 1) == wheel_coefficients(2, 1)[1]
 
 
 def test_single_variable_newton():
@@ -40,8 +40,7 @@ def test_single_variable_newton():
 
 def test_two_variable_second_newton():
     # p_2^- = 2 w_2 - w_1^2
-    w1 = elementary_wheel(2, 1)
-    w2 = elementary_wheel(2, 2)
+    _, w1, w2 = wheel_coefficients(2, 2)
     assert power_sum(2, 2) == 2 * w2 - w1 * w1
 
 
@@ -53,7 +52,7 @@ def test_newton_identities_small():
 def test_inverse_series_convolution():
     for n in range(1, 4):
         K = min(6, degree_cap(n))
-        w = [elementary_wheel(n, k) for k in range(K + 1)]
+        w = wheel_coefficients(n, K)
         v = inverse_coeffs(n, K)
         for k in range(K + 1):
             conv = MultiLaurent()
@@ -65,8 +64,7 @@ def test_inverse_series_convolution():
 
 def test_generators_are_wheel_polynomials():
     for n in range(1, 4):
-        for k in range(min(5, degree_cap(n)) + 1):
-            wk = elementary_wheel(n, k)
+        for wk in wheel_coefficients(n, min(5, degree_cap(n))):
             assert is_symmetric(wk)
             assert is_wheel(wk)
 
@@ -82,8 +80,6 @@ def test_non_wheel_rejected():
 
 def test_degree_cap_enforced():
     with pytest.raises(ResourceLimit):
-        elementary_wheel(2, degree_cap(2) + 1)
-    with pytest.raises(ResourceLimit):
         wheel_coefficients(2, degree_cap(2) + 1)
     with pytest.raises(ResourceLimit):
         inverse_coeffs(2, degree_cap(2) + 1)
@@ -93,7 +89,7 @@ def test_evaluate_matches_manual_substitution():
     lam = Partition((2, 1))
     for r in (GENERIC, power_regime(1, 2)):
         values = drunk_content_values(3, lam, r)
-        w2 = elementary_wheel(3, 2)
+        w2 = wheel_coefficients(3, 2)[2]
         got = evaluate(w2, values, r)
         monos = [v.monomial() for v in values]
         from bmwcenter.scalars import LaurentQT
@@ -108,7 +104,7 @@ def test_evaluate_matches_manual_substitution():
 
 def test_evaluate_arity_checked():
     with pytest.raises(ValueError):
-        evaluate(elementary_wheel(2, 1), [], GENERIC)
+        evaluate(wheel_coefficients(2, 1)[1], [], GENERIC)
 
 
 def test_multilaurent_str():
@@ -131,7 +127,7 @@ def test_wheel_series_is_expanded_once_per_order(monkeypatch, capsys):
     # w_0 ... w_6 once, then the inverse series for the Newton check
     assert orders == [6, 6]
     # lower orders read a prefix of the same expansion
-    assert [elementary_wheel(4, k) for k in range(7)] == wheel_coefficients(4, 6)
+    assert [wheel_coefficients(4, k)[k] for k in range(7)] == wheel_coefficients(4, 6)
     assert wheel_coefficients(4, 2) == wheel_coefficients(4, 6)[:3]
     assert orders == [6, 6]
     assert len(wheel_coefficients(4, 8)) == 9
