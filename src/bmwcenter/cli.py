@@ -281,14 +281,13 @@ def _check_shape(n, lp, regime):
 
 def cmd_selfcheck(args, out):
     n = args.n
-    tableaux.check_level_cap(n)  # the path-count check below walks the level
+    counts = tableaux.path_counts(n)  # refuses a level above MAX_PATHS first
     failures = [f for f in (_check_shape(n, lp, args.regime)
                             for lp in tableaux.enumerate_lambda(n)) if f]
 
     expected = 1
     for k in range(1, n + 1):
         expected *= 2 * k - 1
-    counts = tableaux.path_counts(n)
     if sum(c * c for c in counts.values()) != expected:
         failures.append("path-count square sum mismatch at level %d" % n)
     if n <= 4 and not wheelpoly.newton_check(n, min(2 * n, 8)):

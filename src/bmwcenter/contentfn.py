@@ -127,7 +127,7 @@ def series_consistency(n, lam: Partition, r: Regime, K) -> bool:
     """
     values = drunk_content_values(n, lam, r)
     series = expand_W_series(values, K)
-    return all(c == evaluate(w, values, r)
+    return all(c == evaluate(w, values)
                for c, w in zip(series, wheel_coefficients(n, K)))
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from .errors import RegimeMismatch, ZeroDenominator
 from .partitions import Partition
 from .scalars import GENERIC, LaurentQT, Regime, content_value
-from .tableaux import (check_level_cap, children, content_sequence, drunk_path,
-                       edge_content, enumerate_lambda, enumerate_paths)
+from .tableaux import (children, content_sequence, drunk_path, edge_content,
+                       enumerate_lambda, enumerate_paths, path_counts)
 
 
 def extension_contents(mu: Partition, r: Regime = GENERIC):
@@ -46,7 +46,7 @@ def spectral_idempotent(n, lam: Partition, r: Regime = GENERIC) -> SpectralDiago
     """
     if not r.is_generic:
         raise RegimeMismatch("idempotent evaluation is generic-regime only")
-    check_level_cap(n)
+    path_counts(n)  # refuses a level above MAX_PATHS
     drunk = drunk_path(n, lam)
     drunk_values = [content_value(c, r) for c in content_sequence(drunk)]
     one = LaurentQT.const(1)

@@ -82,10 +82,14 @@ def text_of_partition(lam: Partition) -> str:
 
 
 def partition_from_text(text: str) -> Partition:
-    text = text.strip()
-    if text in ("", "0"):
+    spec = text.strip()
+    if spec in ("", "0"):
         return EMPTY
-    return Partition(int(p) for p in text.split(","))
+    try:
+        parts = [int(p) for p in spec.split(",")]
+    except ValueError:
+        raise ValueError("bad shape spec %r" % text) from None
+    return Partition(parts)
 
 
 def _parts_rec(rem, cap, acc):

@@ -64,17 +64,6 @@ class UpDownTableau(tuple):
         """A tableau on steps already known to form a path; not validated."""
         return tuple.__new__(cls, steps)
 
-    @property
-    def level(self):
-        return len(self) - 1
-
-    @property
-    def shape(self):
-        return self[-1]
-
-    def truncated(self, k):
-        return self._trusted(self[:k + 1])
-
     def __repr__(self):
         return "UpDownTableau(%s)" % " -> ".join(text_of_partition(s) for s in self)
 
@@ -179,16 +168,9 @@ def enumerate_paths(n, lam: Partition):
 
 
 def path_counts(n):
-    """|T^ud_n(lam)| for every shape at level n, via the branching recursion."""
-    counts = {EMPTY: 1}
-    for _ in range(n):
-        counts = _spread(counts)
-    return counts
+    """|T^ud_n(lam)| for every shape at level n, via the branching recursion.
 
-
-def check_level_cap(n):
-    """Raise ``ResourceLimit`` if level n has more than ``MAX_PATHS`` paths.
-
+    Raises ``ResourceLimit`` if level n has more than ``MAX_PATHS`` paths.
     Level totals grow with the level, so the recursion stops at the first
     level above the cap.
     """
@@ -196,6 +178,7 @@ def check_level_cap(n):
     for _ in range(n):
         counts = _spread(counts)
         _refuse_above_cap(sum(counts.values()), "level %d" % n)
+    return counts
 
 
 def canonical_path(lam: Partition) -> UpDownTableau:

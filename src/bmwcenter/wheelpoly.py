@@ -1,16 +1,16 @@
 """Symmetric wheel Laurent polynomials in x_1 ... x_n.
 
 The elementary generators w_k are the T^k coefficients of
-prod(1 - x_i^{-1} T) / prod(1 - x_i T); p_k^- = sum(x_i^k - x_i^{-k}) are
-the signed power sums.  Both are computed by truncated series expansion
-(numerator polynomial times geometric expansions of the denominator), never
-by rational-function normalization.
+prod(1 - x_i^{-1} T) / prod(1 - x_i T), computed by truncated series
+expansion, never by rational-function normalization; p_k^- = sum(x_i^k -
+x_i^{-k}) are the signed power sums, which the Newton identities tie to
+the w_k.
 """
 
 from __future__ import annotations
 
 from .errors import ResourceLimit
-from .scalars import LaurentQT, Regime, wheel_series
+from .scalars import LaurentQT, wheel_series
 
 
 class MultiLaurent(LaurentQT):
@@ -48,32 +48,13 @@ def degree_cap(n):
     return 4 * n
 
 
-def _check_cap(n, k):
-    if k > degree_cap(n):
-        raise ResourceLimit("order %d exceeds cap %d for n=%d"
-                            % (k, degree_cap(n), n))
-
-
-_EXPANSIONS = {}  # n -> the longest expansion w_0 ... w_K made so far
-
-
-def _wheel_series(n, K):
-    """w_0 ... w_K (or more) of prod(1-x_i^{-1}T)/prod(1-x_iT).
-
-    One expansion per n is kept and made again only when a higher order
-    is asked for, so lower orders read a prefix of it.
-    """
-    ws = _EXPANSIONS.get(n, ())
-    if len(ws) <= K:
-        xs = [MultiLaurent.variable(n, i) for i in range(n)]
-        ws = _EXPANSIONS[n] = tuple(wheel_series(xs, MultiLaurent.const(n, 1), K))
-    return ws
-
-
 def wheel_coefficients(n, K):
     """[w_0, ..., w_K]: the T^0 ... T^K coefficients of the wheel series."""
-    _check_cap(n, K)
-    return list(_wheel_series(n, K)[:K + 1])
+    if K > degree_cap(n):
+        raise ResourceLimit("order %d exceeds cap %d for n=%d"
+                            % (K, degree_cap(n), n))
+    xs = [MultiLaurent.variable(n, i) for i in range(n)]
+    return wheel_series(xs, MultiLaurent.const(n, 1), K)
 
 
 def power_sum(n, k) -> MultiLaurent:
@@ -82,31 +63,24 @@ def power_sum(n, k) -> MultiLaurent:
                 for i in range(n)), MultiLaurent())
 
 
-def inverse_coeffs(n, K):
-    """v_0 ... v_K with sum_i w_i v_{k-i} = delta_{k,0}.
-
-    The reciprocal of prod(1-x_i^{-1}T)/prod(1-x_iT) is the same series
-    in the inverted variables.
-    """
-    _check_cap(n, K)
-    inverses = [MultiLaurent.variable(n, i, -1) for i in range(n)]
-    return wheel_series(inverses, MultiLaurent.const(n, 1), K)
-
-
 def newton_check(n, K) -> bool:
-    """p_k^- = sum_{j=1}^k j w_j v_{k-j}, exactly, for all 1 <= k <= K."""
-    w = _wheel_series(n, K)
-    v = inverse_coeffs(n, K)
+    """k w_k = sum_{j=1}^k p_j^- w_{k-j}, exactly, for all 1 <= k <= K.
+
+    These are the T^k coefficients of T W'(T) = W(T) sum_k p_k^- T^k, the
+    logarithmic derivative of the wheel series W; each p_j^- has 2n terms.
+    """
+    w = wheel_coefficients(n, K)
+    p = [power_sum(n, j) for j in range(K + 1)]
     for k in range(1, K + 1):
         rhs = MultiLaurent()
         for j in range(1, k + 1):
-            rhs = rhs + j * (w[j] * v[k - j])
-        if rhs != power_sum(n, k):
+            rhs = rhs + p[j] * w[k - j]
+        if rhs != k * w[k]:
             return False
     return True
 
 
-def evaluate(p: MultiLaurent, values, r: Regime) -> LaurentQT:
+def evaluate(p: MultiLaurent, values) -> LaurentQT:
     """Exact substitution of content-value monomials for the variables."""
     if p.terms and len(values) != p.n:
         raise ValueError("expected %d values, got %d" % (p.n, len(values)))

@@ -2,8 +2,9 @@
 
 Nothing in ``bmwcenter`` calls these: they are slow, direct restatements
 of definitions (box geometry, dominance, the Rui-Si order, wheel
-membership, multiplicativity of W, orthogonality of the idempotents) that
-the tests hold the library's fast paths against.
+membership, the Newton identities through the inverse series,
+multiplicativity of W, orthogonality of the idempotents) that the tests
+hold the library's fast paths against.
 """
 
 from collections import Counter
@@ -12,8 +13,10 @@ from bmwcenter.contentfn import WheelSignature, reduce_values, signature
 from bmwcenter.errors import RegimeMismatch
 from bmwcenter.idempotents import spectral_idempotent
 from bmwcenter.partitions import EMPTY, Partition, skew_datum
-from bmwcenter.scalars import ADD, GENERIC, Content, ContentValue, content_value
-from bmwcenter.tableaux import drunk_path, enumerate_lambda
+from bmwcenter.scalars import (ADD, GENERIC, Content, ContentValue, content_value,
+                               wheel_series)
+from bmwcenter.tableaux import UpDownTableau, drunk_path, enumerate_lambda
+from bmwcenter.wheelpoly import MultiLaurent, power_sum, wheel_coefficients
 
 # ---------------------------------------------------------------------------
 # Young-diagram geometry
@@ -112,9 +115,9 @@ def ruisi_greater(s, t):
     """Rui-Si order: s > t if at the last level where they differ, s's shape
     is strictly above t's (smaller size means larger defect, which wins;
     equal sizes compare by dominance)."""
-    if s.level != t.level or s.shape != t.shape:
+    if len(s) != len(t) or s[-1] != t[-1]:
         return False
-    for k in range(s.level - 1, -1, -1):
+    for k in range(len(s) - 2, -1, -1):
         a, b = s[k], t[k]
         if a == b:
             continue
@@ -122,6 +125,11 @@ def ruisi_greater(s, t):
             return a.size < b.size
         return dominance(a, b) == DOMINATES
     return False
+
+
+def truncated(path, k):
+    """The path (T_0, ..., T_k) cut from path, without re-validation."""
+    return UpDownTableau._trusted(path[:k + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +207,33 @@ def is_wheel(p):
     lhs = map_exponents(p, lambda e: (e[0] - e[1], 0) + e[2:])
     rhs = map_exponents(p, lambda e: (0, 0) + e[2:])
     return lhs == rhs
+
+
+def inverse_coeffs(n, K):
+    """v_0 ... v_K with sum_i w_i v_{k-i} = delta_{k,0}.
+
+    The reciprocal of prod(1-x_i^{-1}T)/prod(1-x_iT) is the same series
+    in the inverted variables.
+    """
+    inverses = [MultiLaurent.variable(n, i, -1) for i in range(n)]
+    return wheel_series(inverses, MultiLaurent.const(n, 1), K)
+
+
+def newton_by_inverse_series(n, K):
+    """Whether p_k^- = sum_{j=1}^k j w_j v_{k-j}, for k = 1 ... K in turn.
+
+    The Newton identities through the inverse series, one dense product per
+    term: newton_check(n, K) must equal all of the first K entries.
+    """
+    w = wheel_coefficients(n, K)
+    v = inverse_coeffs(n, K)
+    out = []
+    for k in range(1, K + 1):
+        rhs = MultiLaurent()
+        for j in range(1, k + 1):
+            rhs = rhs + j * (w[j] * v[k - j])
+        out.append(rhs == power_sum(n, k))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,16 @@ def test_runaway_enumerations_are_refused(capsys, argv):
     assert "more than 1000000 paths" in err
 
 
+def test_selfcheck_refuses_before_any_shape_work(capsys, monkeypatch):
+    def refused(*args):
+        raise AssertionError("signature built above the path cap")
+
+    monkeypatch.setattr(cli.contentfn, "signature", refused)
+    code, out, err = invoke(capsys, "selfcheck", "--n", "12")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ResourceLimit: level 12: ")
+
+
 def test_domain_error_exit_one(capsys):
     # shape size and level parity cannot match
     code, out, err = invoke(capsys, "signature", "--n", "3", "--shape", "2")
@@ -171,6 +181,7 @@ def test_usage_error_exit_two(capsys):
     # the bad value is quoted as given; a zero inside a shape is refused
     for argv, message in (
             (["separate", "--n", "3", "--t", "-1"], "bad regime spec '-1'"),
+            (["signature", "--n", "2", "--shape", "1,,1"], "bad shape spec '1,,1'"),
             (["signature", "--n", "2", "--shape", "1,0,1"], "weakly decreasing")):
         with pytest.raises(SystemExit) as exc:
             run(argv)

@@ -27,7 +27,7 @@ def test_path_counts_match_enumeration(case):
     assert len(paths) == path_counts(n)[lam]
     assert len(set(paths)) == len(paths)
     for path in paths:
-        assert path.shape == lam and path.level == n
+        assert path[-1] == lam and len(path) - 1 == n
         assert UpDownTableau(path) == path  # validates the steps
 
 

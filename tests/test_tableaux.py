@@ -10,10 +10,10 @@ from bmwcenter.partitions import EMPTY, Partition, partitions_of
 from bmwcenter.scalars import ADD, GENERIC, REMOVE
 from bmwcenter.tableaux import (UpDownTableau, branching_graph,
                                 branching_graph_dot, canonical_path,
-                                check_level_cap, children, content_sequence,
-                                drunk_path, enumerate_lambda, enumerate_paths,
-                                labeled, path_counts)
-from oracles import children_by_boxes, ruisi_greater
+                                children, content_sequence, drunk_path,
+                                enumerate_lambda, enumerate_paths, labeled,
+                                path_counts)
+from oracles import children_by_boxes, ruisi_greater, truncated
 
 LAMBDA_SIZES = {1: 1, 2: 3, 3: 4, 4: 8, 5: 11, 6: 19}
 
@@ -74,14 +74,14 @@ def test_sum_of_squares_double_factorial():
 def test_canonical_path_fills_rows():
     lam = Partition((3, 2))
     path = canonical_path(lam)
-    assert path.shape == lam and path.level == 5
+    assert path[-1] == lam and len(path) - 1 == 5
     assert [s.size for s in path] == list(range(6))
 
 
 def test_drunk_path_structure():
     lam = Partition((2,))
     path = drunk_path(6, lam)
-    assert path.level == 6 and path.shape == lam
+    assert len(path) - 1 == 6 and path[-1] == lam
     # two excursions through a single box, then the canonical tail
     assert [tuple(s) for s in path] == [
         (), (1,), (), (1,), (), (1,), (2,)]
@@ -183,7 +183,7 @@ def test_enumerate_paths_matches_oracle_in_order():
 def test_restriction_shapes_are_truncations():
     for n in range(1, 8):
         for lp in enumerate_lambda(n):
-            truncations = {p.truncated(n - 1).shape
+            truncations = {truncated(p, n - 1)[-1]
                            for p in enumerate_paths(n, lp.shape)}
             assert {m for m in children(lp.shape) if m.size < n} == truncations
 
@@ -194,7 +194,7 @@ def test_trusted_tableaux_equal_validated_ones():
             checked = UpDownTableau(list(path))
             assert checked == path and path == checked
             assert hash(checked) == hash(path)
-            assert path.truncated(3) == UpDownTableau(path[:4])
+            assert truncated(path, 3) == UpDownTableau(path[:4])
     assert len({*enumerate_paths(4, EMPTY), *oracle_paths(4, EMPTY)}) == 3
     with pytest.raises(ValueError):
         UpDownTableau([EMPTY, Partition((2,))])
@@ -224,16 +224,17 @@ def test_path_cap_refuses_before_walking(monkeypatch):
     # 15!! = 2,027,025 paths of length 16 return to the empty shape
     with pytest.raises(ResourceLimit, match="MAX_PATHS"):
         enumerate_paths(16, EMPTY)
-    with pytest.raises(ResourceLimit):
-        check_level_cap(12)
-    check_level_cap(11)  # 669,351 paths
+    with pytest.raises(ResourceLimit, match="level 12"):
+        path_counts(12)
+    assert sum(path_counts(11).values()) == 669351
     assert enumerate_paths(40, Partition((40,))) == [canonical_path(Partition((40,)))]
 
 
 def test_path_cap_is_exact(monkeypatch):
     # the count is refused exactly when it exceeds the cap
+    levels = [path_counts(n) for n in range(7)]
     for n in range(1, 7):
-        counts = path_counts(n)
+        counts = levels[n]
         for lam, c in counts.items():
             monkeypatch.setattr(tableaux, "MAX_PATHS", c)
             assert len(enumerate_paths(n, lam)) == c
@@ -242,7 +243,7 @@ def test_path_cap_is_exact(monkeypatch):
                 enumerate_paths(n, lam)
         total = sum(counts.values())
         monkeypatch.setattr(tableaux, "MAX_PATHS", total)
-        check_level_cap(n)
+        assert path_counts(n) == counts
         monkeypatch.setattr(tableaux, "MAX_PATHS", total - 1)
         with pytest.raises(ResourceLimit):
-            check_level_cap(n)
+            path_counts(n)

@@ -9,9 +9,9 @@ from bmwcenter.partitions import Partition
 from bmwcenter.scalars import GENERIC, power_regime, wheel_series
 from bmwcenter.contentfn import drunk_content_values
 from bmwcenter.wheelpoly import (MultiLaurent, degree_cap, evaluate,
-                                 inverse_coeffs, newton_check, power_sum,
-                                 wheel_coefficients)
-from oracles import is_symmetric, is_wheel
+                                 newton_check, power_sum, wheel_coefficients)
+from oracles import (inverse_coeffs, is_symmetric, is_wheel,
+                     newton_by_inverse_series)
 
 
 def x(n, i, p=1):
@@ -49,6 +49,27 @@ def test_newton_identities_small():
         assert newton_check(n, min(6, degree_cap(n)))
 
 
+def test_newton_check_matches_inverse_series_up_to_the_cap():
+    for n in range(1, 5):
+        reference = newton_by_inverse_series(n, degree_cap(n))
+        assert all(reference)
+        for K in range(degree_cap(n) + 1):
+            assert newton_check(n, K) == all(reference[:K]), (n, K)
+
+
+def test_newton_check_fails_on_a_perturbed_wheel(monkeypatch):
+    def perturbed(monomials, one, order):
+        w = wheel_series(monomials, one, order)
+        if order >= 2:
+            w[2] = w[2] + one
+        return w
+
+    monkeypatch.setattr(wheelpoly, "wheel_series", perturbed)
+    for K in range(5):
+        # k = 1 reads only w_0 and w_1, so the first failure is at k = 2
+        assert newton_check(2, K) == (K < 2) == all(newton_by_inverse_series(2, K))
+
+
 def test_inverse_series_convolution():
     for n in range(1, 4):
         K = min(6, degree_cap(n))
@@ -82,7 +103,7 @@ def test_degree_cap_enforced():
     with pytest.raises(ResourceLimit):
         wheel_coefficients(2, degree_cap(2) + 1)
     with pytest.raises(ResourceLimit):
-        inverse_coeffs(2, degree_cap(2) + 1)
+        newton_check(2, degree_cap(2) + 1)
 
 
 def test_evaluate_matches_manual_substitution():
@@ -90,7 +111,7 @@ def test_evaluate_matches_manual_substitution():
     for r in (GENERIC, power_regime(1, 2)):
         values = drunk_content_values(3, lam, r)
         w2 = wheel_coefficients(3, 2)[2]
-        got = evaluate(w2, values, r)
+        got = evaluate(w2, values)
         monos = [v.monomial() for v in values]
         from bmwcenter.scalars import LaurentQT
         acc = LaurentQT()
@@ -104,7 +125,7 @@ def test_evaluate_matches_manual_substitution():
 
 def test_evaluate_arity_checked():
     with pytest.raises(ValueError):
-        evaluate(wheel_coefficients(2, 1)[1], [], GENERIC)
+        evaluate(wheel_coefficients(2, 1)[1], [])
 
 
 def test_multilaurent_str():
@@ -121,14 +142,10 @@ def test_wheel_series_is_expanded_once_per_order(monkeypatch, capsys):
         return wheel_series(monomials, one, order)
 
     monkeypatch.setattr(wheelpoly, "wheel_series", counted)
-    monkeypatch.setattr(wheelpoly, "_EXPANSIONS", {})
     assert run(["wheel", "--n", "4", "--order", "6"]) == 0
     capsys.readouterr()
-    # w_0 ... w_6 once, then the inverse series for the Newton check
+    # w_0 ... w_6 once to print, once more for the Newton check
     assert orders == [6, 6]
-    # lower orders read a prefix of the same expansion
+    # a lower order is a prefix of a higher one
     assert [wheel_coefficients(4, k)[k] for k in range(7)] == wheel_coefficients(4, 6)
     assert wheel_coefficients(4, 2) == wheel_coefficients(4, 6)[:3]
-    assert orders == [6, 6]
-    assert len(wheel_coefficients(4, 8)) == 9
-    assert orders == [6, 6, 8]
