@@ -334,21 +334,6 @@ def matrix_rank(matrix, probe=None):
 # evaluation matrices and separating families
 
 
-def evaluation_matrix(n, r: Regime, K):
-    """Evaluations of e_n^j * w_k (j = 0, 1, -1; k <= K) over Lambda_n.
-
-    Row order follows matrix_row_labels(K); the w_k values are read off as
-    T^k coefficients of the expanded W series and e_n is the product of the
-    drunk contents.  Returns the matrix together with its exact rank.
-    """
-    level = enumerate_lambda(n)
-    cap = 4 * len(level)
-    if K > cap:
-        raise ResourceLimit("order %d exceeds cap %d at level %d" % (K, cap, n))
-    matrix = _build_matrix(n, r, K, level)
-    return matrix, matrix_rank(matrix)
-
-
 def matrix_row_labels(K):
     """(j, k) labels meaning e_n^j * w_k, in row order."""
     return [(j, k) for j in (0, 1, -1) for k in range(K + 1)]
@@ -369,23 +354,30 @@ def _build_matrix(n, r, K, shapes):
     return [[col[k] for col in columns] for k in range(3 * (K + 1))]
 
 
-def adaptive_matrix(n, r: Regime, shapes=None):
-    """Grow K until the rank stabilizes or hits the column count.
+def adaptive_matrix(n, r: Regime, shapes=None, order=None):
+    """Evaluations of e_n^j * w_k (j = 0, 1, -1; k <= K) over the shapes.
 
-    While growing, only the cheap specialized lower bound is tracked; the
-    exact rank is computed once on the final matrix.
+    Rows follow matrix_row_labels(K); the w_k values are read off as T^k
+    coefficients of the expanded W series and e_n is the product of the
+    drunk contents.  ``shapes`` defaults to Lambda_n.  K is ``order`` when
+    given; otherwise K grows until the rank stabilizes or hits the column
+    count, tracking only the cheap specialized lower bound, and the exact
+    rank is computed once on the final matrix.  Returns (matrix, rank, K).
     """
     level = enumerate_lambda(n)
     cap = 4 * len(level)
     if shapes is None:
         shapes = level
-    K = max(n, 1)
+    K = max(n, 1) if order is None else order
+    if K > cap:
+        raise ResourceLimit("order %d exceeds cap %d at level %d" % (K, cap, n))
     prev_probe = -1
     while True:
         matrix = _build_matrix(n, r, K, shapes)
         # the probe fixes K, which is part of the output: first point only
         probe = _specialized_rank(matrix)
-        if probe == len(shapes) or probe == prev_probe or K >= cap:
+        if (order is not None or probe == len(shapes) or probe == prev_probe
+                or K >= cap):
             return matrix, matrix_rank(matrix, probe), K
         prev_probe = probe
         K = min(2 * K, cap)

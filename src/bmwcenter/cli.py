@@ -35,28 +35,28 @@ def _emit(payload):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def cmd_lambda(args, out):
+def cmd_lambda(args):
     lps = tableaux.enumerate_lambda(args.n)
     if args.format == "json":
         _emit([_lp_json(lp) for lp in lps])
     else:
         for lp in lps:
-            out("(%s, %d)" % (text_of_partition(lp.shape), lp.defect))
+            print("(%s, %d)" % (text_of_partition(lp.shape), lp.defect))
     return 0
 
 
-def cmd_paths(args, out):
+def cmd_paths(args):
     paths = tableaux.enumerate_paths(args.n, args.shape)
     if args.format == "json":
         _emit([[text_of_partition(s) for s in p] for p in paths])
     else:
         for p in paths:
-            out(_path_text(p))
-        out("total: %d" % len(paths))
+            print(_path_text(p))
+        print("total: %d" % len(paths))
     return 0
 
 
-def cmd_contents(args, out):
+def cmd_contents(args):
     mult = contentfn.drunk_contents(args.n, args.shape)
     items = sorted(mult.items(), key=lambda cm: (cm[0].s, cm[0].i))
     if args.format == "json":
@@ -66,11 +66,11 @@ def cmd_contents(args, out):
                for c, m in items])
     else:
         for c, m in items:
-            out("%s x %d = %s" % (c, m, content_value(c, args.regime)))
+            print("%s x %d = %s" % (c, m, content_value(c, args.regime)))
     return 0
 
 
-def cmd_wheel(args, out):
+def cmd_wheel(args):
     n, K = args.n, args.order
     rows = [{"k": k, "w": str(w), "p": str(wheelpoly.power_sum(n, k))}
             for k, w in enumerate(wheelpoly.wheel_coefficients(n, K))]
@@ -79,20 +79,20 @@ def cmd_wheel(args, out):
         _emit({"n": n, "order": K, "rows": rows, "newton": newton})
     else:
         for r in rows:
-            out("w_%d = %s" % (r["k"], r["w"]))
-            out("p_%d^- = %s" % (r["k"], r["p"]))
-        out("newton identities: %s" % ("ok" if newton else "FAILED"))
+            print("w_%d = %s" % (r["k"], r["w"]))
+            print("p_%d^- = %s" % (r["k"], r["p"]))
+        print("newton identities: %s" % ("ok" if newton else "FAILED"))
     return 0
 
 
-def cmd_signature(args, out):
+def cmd_signature(args):
     sig = contentfn.signature(args.n, args.shape, args.regime)
     if args.format == "json":
         _emit({"n": args.n, "shape": text_of_partition(args.shape),
                "regime": str(args.regime),
                "signature": contentfn.signature_json(sig)})
     else:
-        out(str(sig))
+        print(str(sig))
     return 0
 
 
@@ -106,24 +106,24 @@ def _pair_letters(mates):
     return orbit
 
 
-def cmd_pairs(args, out):
+def cmd_pairs(args):
     mates = contentfn.pairing_set(args.n, args.shape, args.regime)
     if args.format == "json":
         _emit({"n": args.n, "shape": text_of_partition(args.shape),
                "regime": str(args.regime), "paired": sorted(mates)})
         return 0
-    out("P = {%s}" % ", ".join(str(i) for i in sorted(mates)))
+    print("P = {%s}" % ", ".join(str(i) for i in sorted(mates)))
     orbit = _pair_letters(mates)
     for i, p in enumerate(args.shape, start=1):
         cells = []
         for j in range(1, p + 1):
             d = j - i
             cells.append("[%3d%s]" % (d, orbit.get(d, " ")))
-        out("".join(cells))
+        print("".join(cells))
     return 0
 
 
-def cmd_separate(args, out):
+def cmd_separate(args):
     rep = center_mod.separation_classes(args.n, args.regime)
     pred = center_mod.theorem1_predicate(args.n, args.regime)
     ss = blocks_mod.is_semisimple(args.n, args.regime)
@@ -135,27 +135,24 @@ def cmd_separate(args, out):
                              for a, b in rep.witnesses],
                "semisimple": ss, "predicted": pred})
         return 0
-    out("classes: %d / %d" % (len(rep.classes), sum(len(c) for c in rep.classes)))
+    print("classes: %d / %d" % (len(rep.classes), sum(len(c) for c in rep.classes)))
     for c in rep.classes:
-        out("  " + "  ".join(str(lp) for lp in c))
-    out("separates: %s (predicted: %s)" % (rep.separates, pred))
+        print("  " + "  ".join(str(lp) for lp in c))
+    print("separates: %s (predicted: %s)" % (rep.separates, pred))
     for a, b in rep.witnesses:
-        out("witness: %s ~ %s" % (a, b))
-    out("semisimple: %s" % ss)
+        print("witness: %s ~ %s" % (a, b))
+    print("semisimple: %s" % ss)
     if not ss:
-        out("note: with semisimplicity failing, the signature classes "
-            "bound the center only conjecturally")
+        print("note: with semisimplicity failing, the signature classes "
+              "bound the center only conjecturally")
     if ss and rep.separates != pred:
-        out("warning: computed separation disagrees with the predicate")
+        print("warning: computed separation disagrees with the predicate")
     return 0
 
 
-def cmd_matrix(args, out):
-    if args.order is not None:
-        matrix, rank = center_mod.evaluation_matrix(args.n, args.regime, args.order)
-        K = args.order
-    else:
-        matrix, rank, K = center_mod.adaptive_matrix(args.n, args.regime)
+def cmd_matrix(args):
+    matrix, rank, K = center_mod.adaptive_matrix(args.n, args.regime,
+                                                 order=args.order)
     labels = center_mod.matrix_row_labels(K)
     if args.format == "json":
         _emit({"n": args.n, "regime": str(args.regime), "order": K,
@@ -166,12 +163,12 @@ def cmd_matrix(args, out):
         return 0
     for (j, k), row in zip(labels, matrix):
         name = "w_%d" % k if j == 0 else "e^%+d*w_%d" % (j, k)
-        out("%-10s %s" % (name, "  ".join(str(x) for x in row)))
-    out("rank: %d" % rank)
+        print("%-10s %s" % (name, "  ".join(str(x) for x in row)))
+    print("rank: %d" % rank)
     return 0
 
 
-def cmd_family(args, out):
+def cmd_family(args):
     reps, family, K = center_mod.separating_family(args.n, args.regime)
     labels = center_mod.matrix_row_labels(K)
     if args.format == "json":
@@ -184,24 +181,24 @@ def cmd_family(args, out):
                                 for combo in family]})
         return 0
     for lp, combo in zip(reps, family):
-        out("p[%s]:" % lp)
+        print("p[%s]:" % lp)
         for (j, k), c in zip(labels, combo):
             if not c.is_zero:
                 name = "w_%d" % k if j == 0 else "e^%+d*w_%d" % (j, k)
-                out("  %s: %s" % (name, c))
+                print("  %s: %s" % (name, c))
     return 0
 
 
-def cmd_semisimple(args, out):
+def cmd_semisimple(args):
     ss = blocks_mod.is_semisimple(args.n, args.regime)
     if args.format == "json":
         _emit({"n": args.n, "regime": str(args.regime), "semisimple": ss})
     else:
-        out("true" if ss else "false")
+        print("true" if ss else "false")
     return 0
 
 
-def cmd_blocks(args, out):
+def cmd_blocks(args):
     rep = blocks_mod.block_partition(args.n, args.regime)
     if args.format == "json":
         _emit({"n": args.n, "regime": str(args.regime),
@@ -210,23 +207,23 @@ def cmd_blocks(args, out):
                "agrees_with_W": rep.agrees_with_W})
         return 0
     for c in rep.blocks:
-        out("  ".join(str(lp) for lp in c))
-    out("agrees with signature classes: %s" % rep.agrees_with_W)
+        print("  ".join(str(lp) for lp in c))
+    print("agrees with signature classes: %s" % rep.agrees_with_W)
     for a, b in rep.closure_pairs:
-        out("closure only: %s ~ %s" % (a, b))
+        print("closure only: %s ~ %s" % (a, b))
     return 0
 
 
-def cmd_verify_blocks(args, out):
+def cmd_verify_blocks(args):
     ok = blocks_mod.verify_block_theorem(args.n, args.regime)
     if args.format == "json":
         _emit({"n": args.n, "regime": str(args.regime), "verified": ok})
     else:
-        out("verified" if ok else "MISMATCH")
+        print("verified" if ok else "MISMATCH")
     return 0 if ok else 1
 
 
-def cmd_idempotent(args, out):
+def cmd_idempotent(args):
     diag = idem_mod.spectral_idempotent(args.n, args.shape, args.regime)
     sel = diag.selected()
     ok = (len(sel) == 1 and sel[0] == tableaux.drunk_path(args.n, args.shape))
@@ -237,12 +234,12 @@ def cmd_idempotent(args, out):
                "all_zero_elsewhere": ok})
         return 0
     for p in sel:
-        out("selected: %s" % _path_text(p))
-    out("all other paths zero: %s" % ok)
+        print("selected: %s" % _path_text(p))
+    print("all other paths zero: %s" % ok)
     return 0
 
 
-def cmd_graph(args, out):
+def cmd_graph(args):
     if args.format == "dot":
         sys.stdout.write(tableaux.branching_graph_dot(args.n, args.regime))
         return 0
@@ -257,13 +254,14 @@ def cmd_graph(args, out):
                           "value": str(v)} for k, a, b, v in edges]})
         return 0
     for k, a, b, v in edges:
-        out("L%d:%s -> L%d:%s  [%s]" % (k - 1, text_of_partition(a), k,
-                                        text_of_partition(b), v))
+        print("L%d:%s -> L%d:%s  [%s]" % (k - 1, text_of_partition(a), k,
+                                          text_of_partition(b), v))
     return 0
 
 
-def _check_shape(n, lp, regime):
-    """Per-shape invariant bundle for selfcheck."""
+def _check_shape(n, lp, regime, wheels):
+    """Per-shape invariant bundle for selfcheck; ``wheels`` is the level's
+    ``wheel_coefficients`` for the series check, or None to skip it."""
     from collections import Counter
     lam = lp.shape
     closed = contentfn.drunk_contents(n, lam)
@@ -274,15 +272,16 @@ def _check_shape(n, lp, regime):
     for v, e in sig.exponents.items():
         if sig.exponents.get(v.inverse()) != -e:
             return "signature asymmetry at %s" % lp
-    if n <= 6 and not contentfn.series_consistency(n, lam, regime, min(3, n)):
+    if wheels is not None and not contentfn.series_consistency(n, lam, regime, wheels):
         return "series inconsistency at %s" % lp
     return None
 
 
-def cmd_selfcheck(args, out):
+def cmd_selfcheck(args):
     n = args.n
     counts = tableaux.path_counts(n)  # refuses a level above MAX_PATHS first
-    failures = [f for f in (_check_shape(n, lp, args.regime)
+    wheels = wheelpoly.wheel_coefficients(n, min(3, n)) if n <= 6 else None
+    failures = [f for f in (_check_shape(n, lp, args.regime, wheels)
                             for lp in tableaux.enumerate_lambda(n)) if f]
 
     expected = 1
@@ -300,9 +299,9 @@ def cmd_selfcheck(args, out):
                "failures": failures})
     else:
         for f in failures:
-            out("FAIL: %s" % f)
-        out("selfcheck level %d: %s" % (n, "ok" if not failures else
-                                        "%d failure(s)" % len(failures)))
+            print("FAIL: %s" % f)
+        print("selfcheck level %d: %s" % (n, "ok" if not failures else
+                                          "%d failure(s)" % len(failures)))
     return 0 if not failures else 1
 
 
@@ -381,7 +380,7 @@ def run(argv):
     except ValueError as exc:
         PARSER.error(str(exc))
     try:
-        return COMMANDS[args.command](args, print)
+        return COMMANDS[args.command](args)
     except BmwError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1

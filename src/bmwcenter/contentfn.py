@@ -15,7 +15,7 @@ from .errors import RegimeMismatch
 from .partitions import Partition, diagonal_datum
 from .scalars import ADD, Content, Regime, content_value, expand_W_series
 from .tableaux import labeled
-from .wheelpoly import evaluate, wheel_coefficients
+from .wheelpoly import evaluate
 
 
 class WheelSignature:
@@ -119,16 +119,16 @@ def pairing_set(n, lam: Partition, r: Regime):
     return {i: -r.exponent - i for i in dd if -r.exponent - i in dd}
 
 
-def series_consistency(n, lam: Partition, r: Regime, K) -> bool:
+def series_consistency(n, lam: Partition, r: Regime, wheels) -> bool:
     """The W-series coefficients agree with direct wheel evaluations.
 
     Coefficient of T^k in the expanded W series must equal w_k evaluated on
-    the drunk content multiset, for all k <= K.
+    the drunk content multiset, for every w_k in ``wheels``, the list
+    ``wheel_coefficients(n, K)``.
     """
     values = drunk_content_values(n, lam, r)
-    series = expand_W_series(values, K)
-    return all(c == evaluate(w, values)
-               for c, w in zip(series, wheel_coefficients(n, K)))
+    series = expand_W_series(values, len(wheels) - 1)
+    return all(c == evaluate(w, values) for c, w in zip(series, wheels))
 
 
 def signature_json(sig: WheelSignature):

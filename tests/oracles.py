@@ -3,7 +3,8 @@
 Nothing in ``bmwcenter`` calls these: they are slow, direct restatements
 of definitions (box geometry, dominance, the Rui-Si order, wheel
 membership, the Newton identities through the inverse series,
-multiplicativity of W, orthogonality of the idempotents) that the tests
+multiplicativity of W, the idempotents' interpolation product and their
+orthogonality) that the tests
 hold the library's fast paths against.
 """
 
@@ -13,9 +14,10 @@ from bmwcenter.contentfn import WheelSignature, reduce_values, signature
 from bmwcenter.errors import RegimeMismatch
 from bmwcenter.idempotents import spectral_idempotent
 from bmwcenter.partitions import EMPTY, Partition, skew_datum
-from bmwcenter.scalars import (ADD, GENERIC, Content, ContentValue, content_value,
-                               wheel_series)
-from bmwcenter.tableaux import UpDownTableau, drunk_path, enumerate_lambda
+from bmwcenter.scalars import (ADD, GENERIC, Content, ContentValue, LaurentQT,
+                               content_value, wheel_series)
+from bmwcenter.tableaux import (UpDownTableau, children, content_sequence, drunk_path,
+                                edge_content, enumerate_lambda, enumerate_paths)
 from bmwcenter.wheelpoly import MultiLaurent, power_sum, wheel_coefficients
 
 # ---------------------------------------------------------------------------
@@ -238,6 +240,41 @@ def newton_by_inverse_series(n, K):
 
 # ---------------------------------------------------------------------------
 # idempotents
+
+
+def extension_contents(mu, r=GENERIC):
+    """Distinct content values labeling branching edges out of mu."""
+    return {content_value(edge_content(mu, m), r) for m in children(mu)}
+
+
+def oracle_values(n, lam):
+    """The interpolation product of e_{lam,n} evaluated on every path.
+
+    At level k the nodes are the contents out of the drunk path's shape
+    at level k - 1, less the drunk path's own k-th content (the target).
+    """
+    drunk = drunk_path(n, lam)
+    drunk_values = [content_value(c, GENERIC) for c in content_sequence(drunk)]
+    levels = []
+    for k in range(1, n + 1):
+        target = drunk_values[k - 1]
+        levels.append((target, sorted(extension_contents(drunk[k - 1]) - {target})))
+    values = {}
+    for lp in enumerate_lambda(n):
+        for path in enumerate_paths(n, lp.shape):
+            xs = [content_value(c, GENERIC) for c in content_sequence(path)]
+            num = den = LaurentQT.const(1)
+            value = 1
+            for (target, nodes), x in zip(levels, xs):
+                if x in nodes:
+                    value = 0
+                    break
+                for c in nodes:
+                    num = num * (x.monomial() - c.monomial())
+                    den = den * (target.monomial() - c.monomial())
+            assert value == 0 or num == den, path
+            values[path] = value
+    return values
 
 
 def orthogonality_check(n, r=GENERIC):

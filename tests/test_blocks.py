@@ -1,5 +1,7 @@
 """Semisimplicity, admissibility and block partitions."""
 
+from itertools import combinations
+
 import pytest
 
 from bmwcenter import blocks, cli
@@ -7,6 +9,7 @@ from bmwcenter.blocks import (block_equivalent, block_partition,
                               check_admissible, is_admissible, is_semisimple,
                               verify_block_theorem)
 from bmwcenter.center import separation_classes
+from bmwcenter.contentfn import signature
 from bmwcenter.errors import LevelMismatch, RegimeMismatch
 from bmwcenter.partitions import EMPTY, Partition
 from bmwcenter.scalars import GENERIC, power_regime
@@ -129,6 +132,24 @@ def test_verify_block_theorem_small_sweep():
                 if is_semisimple(n, r):
                     continue
                 assert verify_block_theorem(n, r), (n, sign, a)
+
+
+def test_blocks_refine_signature_classes():
+    # condition (2) makes the skew content multiset closed under inversion,
+    # so directly block-equivalent shapes share their reduced signature;
+    # every power regime with |N| <= 2n + 2, both signs, n <= 8
+    direct = 0
+    for n in range(9):
+        lps = enumerate_lambda(n)
+        for eps in (1, -1):
+            for N in range(-2 * n - 2, 2 * n + 3):
+                r = power_regime(eps, N)
+                sigs = [signature(n, lp.shape, r) for lp in lps]
+                for i, j in combinations(range(len(lps)), 2):
+                    if block_equivalent(lps[i], lps[j], r):
+                        direct += 1
+                        assert sigs[i] == sigs[j], (n, r, lps[i], lps[j])
+    assert direct == 292  # of 96,256 pairs
 
 
 def test_block_partition_closure_pairs(monkeypatch, capsys):

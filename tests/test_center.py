@@ -7,7 +7,7 @@ import pytest
 
 from bmwcenter import center
 from bmwcenter.center import (LaurentFrac, adaptive_matrix, bareiss_rank,
-                              divexact, evaluation_matrix, matrix_rank,
+                              divexact, matrix_rank,
                               matrix_row_labels, separating_family,
                               separation_classes, theorem1_predicate)
 from bmwcenter.errors import ResourceLimit, ZeroDenominator
@@ -346,20 +346,20 @@ def test_independent_rows_survive_an_unlucky_point():
 def test_evaluation_matrix_full_rank_generic():
     for n in range(1, 5):
         K = max(n, 1)
-        matrix, rank = evaluation_matrix(n, GENERIC, K)
+        matrix, rank, _ = adaptive_matrix(n, GENERIC, order=K)
         assert len(matrix) == 3 * (K + 1)
         assert rank == len(enumerate_lambda(n))
         assert len(matrix_row_labels(K)) == len(matrix)
 
 
 def test_evaluation_matrix_cap():
-    with pytest.raises(ResourceLimit):
-        evaluation_matrix(2, GENERIC, 1000)
+    with pytest.raises(ResourceLimit, match="order 1000 exceeds cap 12 at level 2"):
+        adaptive_matrix(2, GENERIC, order=1000)
 
 
 def test_rank_drop_in_collapsing_regime():
     # t = q^-1 at level 2 merges two columns
-    _, rank = evaluation_matrix(2, power_regime(1, -1), 4)
+    _, rank, _ = adaptive_matrix(2, power_regime(1, -1), order=4)
     assert rank == 2
 
 

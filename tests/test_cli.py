@@ -153,6 +153,20 @@ def test_selfcheck_refuses_before_any_shape_work(capsys, monkeypatch):
     assert err.startswith("error: ResourceLimit: level 12: ")
 
 
+def test_selfcheck_expands_the_wheels_once(capsys, monkeypatch):
+    calls = []
+    expand = cli.wheelpoly.wheel_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(cli.wheelpoly, "wheel_coefficients", counted)
+    code, out, _ = invoke(capsys, "selfcheck", "--n", "6")
+    assert code == 0 and out == "selfcheck level 6: ok\n"
+    assert calls == [(6, 3)]
+
+
 def test_domain_error_exit_one(capsys):
     # shape size and level parity cannot match
     code, out, err = invoke(capsys, "signature", "--n", "3", "--shape", "2")

@@ -12,6 +12,7 @@ from bmwcenter.errors import RegimeMismatch, ShapeLevelMismatch
 from bmwcenter.partitions import EMPTY, Partition, diagonal_datum
 from bmwcenter.scalars import ADD, Content, ContentValue, GENERIC, power_regime
 from bmwcenter.tableaux import content_sequence, drunk_path, enumerate_lambda
+from bmwcenter.wheelpoly import wheel_coefficients
 from oracles import merge, multiplicativity_check, power_sig, skew_signature
 
 
@@ -143,8 +144,9 @@ def test_pairing_multiplicities_in_high_even_regimes():
 
 
 def test_series_consistency():
-    assert series_consistency(5, Partition((2, 1)), GENERIC, 3)
-    assert series_consistency(4, Partition((2,)), power_regime(1, 2), 4)
+    assert series_consistency(5, Partition((2, 1)), GENERIC, wheel_coefficients(5, 3))
+    assert series_consistency(4, Partition((2,)), power_regime(1, 2),
+                              wheel_coefficients(4, 4))
 
 
 def test_signature_json_is_sorted():

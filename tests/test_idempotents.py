@@ -3,18 +3,17 @@
 import pytest
 
 from bmwcenter.errors import RegimeMismatch, ResourceLimit
-from bmwcenter.idempotents import extension_contents, spectral_idempotent
-from bmwcenter.partitions import EMPTY, Partition
-from bmwcenter.scalars import GENERIC, LaurentQT, content_value, power_regime
-from bmwcenter.tableaux import (children, content_sequence, drunk_path,
-                                enumerate_lambda, enumerate_paths)
-from oracles import orthogonality_check
+from bmwcenter.idempotents import spectral_idempotent
+from bmwcenter.partitions import EMPTY, Partition, partitions_of
+from bmwcenter.scalars import power_regime
+from bmwcenter.tableaux import children, drunk_path, enumerate_lambda, enumerate_paths
+from oracles import extension_contents, oracle_values, orthogonality_check
 
 
 def test_extension_contents_counts():
-    # generically all branching values out of a shape are distinct
-    for m in range(7):
-        from bmwcenter.partitions import partitions_of
+    # generically all branching values out of a shape are distinct: the
+    # premise that makes the diagonal the drunk-path indicator
+    for m in range(13):
         for mu in partitions_of(m):
             assert len(extension_contents(mu)) == len(children(mu))
 
@@ -52,34 +51,8 @@ def test_orthogonality():
         assert orthogonality_check(n)
 
 
-def oracle_values(n, lam):
-    """The interpolation product evaluated on every path from scratch."""
-    drunk = drunk_path(n, lam)
-    drunk_values = [content_value(c, GENERIC) for c in content_sequence(drunk)]
-    levels = []
-    for k in range(1, n + 1):
-        target = drunk_values[k - 1]
-        levels.append((target, sorted(extension_contents(drunk[k - 1]) - {target})))
-    values = {}
-    for lp in enumerate_lambda(n):
-        for path in enumerate_paths(n, lp.shape):
-            xs = [content_value(c, GENERIC) for c in content_sequence(path)]
-            num = den = LaurentQT.const(1)
-            value = 1
-            for (target, nodes), x in zip(levels, xs):
-                if x in nodes:
-                    value = 0
-                    break
-                for c in nodes:
-                    num = num * (x.monomial() - c.monomial())
-                    den = den * (target.monomial() - c.monomial())
-            assert value == 0 or num == den, path
-            values[path] = value
-    return values
-
-
 def test_diagonal_matches_oracle_in_order():
-    for n in range(0, 7):
+    for n in range(0, 8):
         for lp in enumerate_lambda(n):
             got = spectral_idempotent(n, lp.shape).values
             assert list(got.items()) == list(oracle_values(n, lp.shape).items())
