@@ -89,8 +89,19 @@ class BlockReport:
 
 
 def block_partition(n, r: Regime) -> BlockReport:
-    """Classes of Lambda_n under the closure of pairwise block equivalence."""
+    """Classes of Lambda_n under the closure of pairwise block equivalence.
+
+    Blocks refine signature classes: with nu = lam & mu, condition (2)
+    gives every skew diagonal i of lam/nu (and of mu/nu) a mate -N - i of
+    equal multiplicity, and c(i) c(-N - i) = 1, so the skew content
+    multiset is closed under inversion and cancels from W; directly
+    equivalent shapes share their reduced signature, and so does their
+    closure.  Only the pairs within each class of ``separation_classes``
+    are tested.
+    """
     lps = enumerate_lambda(n)
+    index = {lp: i for i, lp in enumerate(lps)}
+    report = separation_classes(n, r)
     parent = list(range(len(lps)))
 
     def find(i):
@@ -100,10 +111,13 @@ def block_partition(n, r: Regime) -> BlockReport:
         return i
 
     direct = set()
-    for i, j in combinations(range(len(lps)), 2):
-        if block_equivalent(lps[i], lps[j], r):
-            direct.add((i, j))
-            parent[find(i)] = find(j)
+    # each class follows Lambda_n's order, so every pair has i < j
+    for c in report.classes:
+        for a, b in combinations(c, 2):
+            if block_equivalent(a, b, r):
+                i, j = index[a], index[b]
+                direct.add((i, j))
+                parent[find(i)] = find(j)
     # Lambda_n is sorted, so each group and the group order follow it
     groups = {}
     for i in range(len(lps)):
@@ -113,7 +127,7 @@ def block_partition(n, r: Regime) -> BlockReport:
     closure.sort()
     blocks = [[lps[i] for i in g] for g in groups.values()]
     agrees = ({frozenset(c) for c in blocks}
-              == {frozenset(c) for c in separation_classes(n, r).classes})
+              == {frozenset(c) for c in report.classes})
     return BlockReport(n, r, blocks, agrees, [(lps[i], lps[j]) for i, j in closure])
 
 

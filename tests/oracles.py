@@ -3,13 +3,16 @@
 Nothing in ``bmwcenter`` calls these: they are slow, direct restatements
 of definitions (box geometry, dominance, the Rui-Si order, wheel
 membership, the Newton identities through the inverse series,
-multiplicativity of W, the idempotents' interpolation product and their
-orthogonality) that the tests
-hold the library's fast paths against.
+multiplicativity of W, block classification over every pair of Lambda_n,
+the idempotents' interpolation product and their orthogonality) that the
+tests hold the library's fast paths against.
 """
 
 from collections import Counter
+from itertools import combinations
 
+from bmwcenter.blocks import BlockReport, block_equivalent
+from bmwcenter.center import separation_classes
 from bmwcenter.contentfn import WheelSignature, reduce_values, signature
 from bmwcenter.errors import RegimeMismatch
 from bmwcenter.idempotents import spectral_idempotent
@@ -180,6 +183,38 @@ def multiplicativity_check(lam, mu, r):
     lhs = signature(lam.size, lam, r)
     rhs = merge(signature(mu.size, mu, r), skew_signature(lam, mu, r))
     return lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# blocks
+
+
+def oracle_block_partition(n, r):
+    """``block_partition`` testing every pair of Lambda_n, not only the
+    pairs inside a signature class."""
+    lps = enumerate_lambda(n)
+    parent = list(range(len(lps)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    direct = set()
+    for i, j in combinations(range(len(lps)), 2):
+        if block_equivalent(lps[i], lps[j], r):
+            direct.add((i, j))
+            parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(lps)):
+        groups.setdefault(find(i), []).append(i)
+    closure = sorted(p for g in groups.values() for p in combinations(g, 2)
+                     if p not in direct)
+    blocks = [[lps[i] for i in g] for g in groups.values()]
+    agrees = ({frozenset(c) for c in blocks}
+              == {frozenset(c) for c in separation_classes(n, r).classes})
+    return BlockReport(n, r, blocks, agrees, [(lps[i], lps[j]) for i, j in closure])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Semisimplicity, admissibility and block partitions."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -14,6 +15,7 @@ from bmwcenter.errors import LevelMismatch, RegimeMismatch
 from bmwcenter.partitions import EMPTY, Partition
 from bmwcenter.scalars import GENERIC, power_regime
 from bmwcenter.tableaux import enumerate_lambda, labeled
+from oracles import oracle_block_partition
 
 
 def test_semisimple_generic_always():
@@ -153,18 +155,53 @@ def test_blocks_refine_signature_classes():
 
 
 def test_block_partition_closure_pairs(monkeypatch, capsys):
-    # a chain relation on Lambda_5: 3 ~ 0 ~ 6 and 1 ~ 2 ~ 4, so (3, 6) and
-    # (1, 4) are related only through the transitive closure
-    lps = enumerate_lambda(5)
-    direct = {(0, 3), (0, 6), (1, 2), (2, 4)}
+    # a chain relation inside the two three-shape signature classes of
+    # Lambda_6 at t = q^3, {1, 11, 18} and {2, 12, 17}: 11 ~ 1 ~ 18 and
+    # 2 ~ 12 ~ 17, so (11, 18) and (2, 17) are related only through the
+    # transitive closure
+    lps = enumerate_lambda(6)
+    r = power_regime(1, 3)
+    assert [c for c in separation_classes(6, r).classes if len(c) > 2] == [
+        [lps[1], lps[11], lps[18]], [lps[2], lps[12], lps[17]]]
+    direct = {(1, 11), (1, 18), (2, 12), (12, 17)}
     monkeypatch.setattr(blocks, "block_equivalent",
                         lambda a, b, r: (lps.index(a), lps.index(b)) in direct)
-    rep = block_partition(5, power_regime(1, 2))
+    rep = block_partition(6, r)
     assert [c for c in rep.blocks if len(c) > 1] == [
-        [lps[0], lps[3], lps[6]], [lps[1], lps[2], lps[4]]]
-    assert rep.closure_pairs == [(lps[1], lps[4]), (lps[3], lps[6])]
-    assert cli.run(["blocks", "--n", "5", "--t", "q^2"]) == 0
+        [lps[1], lps[11], lps[18]], [lps[2], lps[12], lps[17]]]
+    assert rep.closure_pairs == [(lps[2], lps[17]), (lps[11], lps[18])]
+    assert cli.run(["blocks", "--n", "6", "--t", "q^3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [ln for ln in lines if ln.startswith("closure only:")] == [
-        "closure only: (2,1,1,1, 0) ~ (3,2, 0)",
-        "closure only: (3,1,1, 0) ~ (5, 0)"]
+        "closure only: (2,2,1,1, 0) ~ (2, 2)",
+        "closure only: (1,1,1,1, 1) ~ (0, 3)"]
+
+
+# every power regime with |N| <= 2n + 2, both signs, n <= 9
+POWER_GRID = [(n, power_regime(eps, N)) for n in range(10) for eps in (1, -1)
+              for N in range(-2 * n - 2, 2 * n + 3)]
+
+
+def test_block_partition_matches_all_pairs_oracle():
+    for n, r in POWER_GRID:
+        fast, slow = block_partition(n, r), oracle_block_partition(n, r)
+        assert fast.blocks == slow.blocks, (n, r)
+        assert fast.closure_pairs == slow.closure_pairs, (n, r)
+        assert fast.agrees_with_W == slow.agrees_with_W, (n, r)
+
+
+@pytest.mark.parametrize("r", [power_regime(1, 2), power_regime(-1, 3)])
+def test_block_equivalent_runs_on_same_signature_pairs_only(monkeypatch, r):
+    calls = []
+
+    def counted(a, b, r):
+        calls.append((a, b))
+        return block_equivalent(a, b, r)
+
+    monkeypatch.setattr(blocks, "block_equivalent", counted)
+    block_partition(12, r)
+    classes = separation_classes(12, r).classes
+    assert all(signature(12, a.shape, r) == signature(12, b.shape, r)
+               for a, b in calls)
+    # 64 at q^2 and 135 at -q^3, against 12,720 pairs in all of Lambda_12
+    assert len(calls) == sum(comb(len(c), 2) for c in classes)
