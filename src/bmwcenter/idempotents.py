@@ -4,8 +4,8 @@ e_{lam,n} interpolates each JM element at the branching contents out of
 the drunk path's shape at the level before.  Generically those contents
 are distinct, so a path that first leaves the drunk path at level k has a
 node as its k-th content and gets 0, while the drunk path gets 1: the
-diagonal is the drunk-path indicator (Okounkov-Vershik).  The product
-itself is evaluated only by the test oracle.
+diagonal is the drunk-path indicator (Okounkov-Vershik), held as its one
+nonzero entry.  The product itself is evaluated only by the test oracle.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 from .errors import RegimeMismatch
 from .partitions import Partition
 from .scalars import GENERIC, Regime
-from .tableaux import drunk_path, enumerate_lambda, enumerate_paths, path_counts
+from .tableaux import drunk_path, path_counts
 
 
 class SpectralDiagonal:
-    """Values of one idempotent on every updown path at its level."""
+    """One idempotent's nonzero values on its level's paths; absent paths are 0."""
 
     __slots__ = ("n", "shape", "values")
 
@@ -31,16 +31,11 @@ class SpectralDiagonal:
 
 
 def spectral_idempotent(n, lam: Partition, r: Regime = GENERIC) -> SpectralDiagonal:
-    """Diagonal of e_{lam,n} on all paths of all shapes at level n.
+    """Diagonal of e_{lam,n}: value 1 on the drunk path, 0 on every other.
 
-    Keys follow ``enumerate_lambda`` and then ``enumerate_paths`` order.
     Raises ``ResourceLimit`` if level n has more than ``MAX_PATHS`` paths.
     """
     if not r.is_generic:
         raise RegimeMismatch("idempotent evaluation is generic-regime only")
     path_counts(n)  # refuses a level above MAX_PATHS
-    drunk = drunk_path(n, lam)
-    values = dict.fromkeys((path for lp in enumerate_lambda(n)
-                            for path in enumerate_paths(n, lp.shape)), 0)
-    values[drunk] = 1
-    return SpectralDiagonal(n, lam, values)
+    return SpectralDiagonal(n, lam, {drunk_path(n, lam): 1})

@@ -8,6 +8,7 @@ first; the empty tuple is the empty partition.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import ContainmentError
@@ -74,6 +75,7 @@ def skew_datum(lam: Partition, mu: Partition) -> Counter:
     return counts
 
 
+@lru_cache(maxsize=None)
 def text_of_partition(lam: Partition) -> str:
     """Comma-separated parts; "0" for the empty partition."""
     if not lam:

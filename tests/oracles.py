@@ -326,9 +326,10 @@ def orthogonality_check(n, r=GENERIC):
             for path, va in diagonals[a].values.items():
                 if va and diagonals[b].values.get(path):
                     return False
-    # the pointwise sum over all diagonals is the drunk-path indicator
-    for path in diagonals[0].values:
-        total = sum(d.values[path] for d in diagonals)
+    # the pointwise sum over all diagonals, a path absent from a diagonal
+    # counting 0, is the drunk-path indicator on every path of the level
+    for path in (p for lp in enumerate_lambda(n) for p in enumerate_paths(n, lp.shape)):
+        total = sum(d.values.get(path, 0) for d in diagonals)
         if total != (1 if path in drunk_set else 0):
             return False
     return True

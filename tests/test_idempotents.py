@@ -2,6 +2,7 @@
 
 import pytest
 
+from bmwcenter import idempotents, tableaux
 from bmwcenter.errors import RegimeMismatch, ResourceLimit
 from bmwcenter.idempotents import spectral_idempotent
 from bmwcenter.partitions import EMPTY, Partition, partitions_of
@@ -30,13 +31,12 @@ def test_requires_generic_regime():
 
 def test_selects_exactly_the_drunk_path():
     for n in range(1, 5):
-        total = sum(len(enumerate_paths(n, lp.shape)) for lp in enumerate_lambda(n))
         for lp in enumerate_lambda(n):
             diag = spectral_idempotent(n, lp.shape)
-            assert len(diag.values) == total
-            sel = diag.selected()
-            assert sel == [drunk_path(n, lp.shape)]
-            assert set(diag.values.values()) <= {0, 1}
+            drunk = drunk_path(n, lp.shape)
+            assert diag.values == {drunk: 1}
+            assert diag.selected() == [drunk]
+            assert drunk in enumerate_paths(n, lp.shape)
 
 
 def test_path_counts_at_level_three():
@@ -53,11 +53,30 @@ def test_orthogonality():
 
 def test_diagonal_matches_oracle_in_order():
     for n in range(0, 8):
+        every_path = [p for lp in enumerate_lambda(n) for p in enumerate_paths(n, lp.shape)]
         for lp in enumerate_lambda(n):
+            want = oracle_values(n, lp.shape)
+            # the oracle evaluates the product on every path of the level,
+            # in enumerate_lambda and then enumerate_paths order
+            assert list(want) == every_path
             got = spectral_idempotent(n, lp.shape).values
-            assert list(got.items()) == list(oracle_values(n, lp.shape).items())
+            assert list(got.items()) == [(p, v) for p, v in want.items() if v]
 
 
 def test_level_cap_refuses_before_walking():
+    with pytest.raises(ResourceLimit):
+        spectral_idempotent(12, EMPTY)
+
+
+def test_diagonal_does_not_walk_the_level(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the idempotent walked the paths of its level")
+
+    # in tableaux, and in idempotents should it ever import them again
+    for module in (tableaux, idempotents):
+        for name in ("enumerate_paths", "enumerate_lambda"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    diag = spectral_idempotent(11, Partition((1,)))
+    assert diag.values == {drunk_path(11, Partition((1,))): 1}
     with pytest.raises(ResourceLimit):
         spectral_idempotent(12, EMPTY)

@@ -155,3 +155,17 @@ def test_text_round_trip():
     for m in range(8):
         for lam in partitions_of(m):
             assert partition_from_text(text_of_partition(lam)) == lam
+
+
+def test_text_of_partition_memo_keys_by_value():
+    # the memo keys a Partition and an equal plain tuple together; both
+    # spell the same text, so whichever is cached first is right for both
+    text_of_partition.cache_clear()
+    assert text_of_partition((3, 1)) == "3,1"
+    assert text_of_partition(Partition((3, 1))) == "3,1"
+    assert text_of_partition(Partition((2, 2))) == "2,2"
+    assert text_of_partition((2, 2)) == "2,2"
+    assert text_of_partition(EMPTY) == text_of_partition(()) == "0"
+    for m in range(8):
+        for lam in partitions_of(m):
+            assert text_of_partition(tuple(lam)) == text_of_partition(lam)
