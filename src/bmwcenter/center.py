@@ -107,18 +107,18 @@ def divexact(a: LaurentQT, b: LaurentQT):
     return LaurentQT({(x + qa - qb, y + ta - tb): c for (x, y), c in quot.items()})
 
 
-def _eliminate(m, quotient, weight):
+def _eliminate(m, quotient, weight, prev=None):
     """Fraction-free forward elimination of the rows of m, in place.
 
     Walks the columns left to right with row swaps only.  In each column
     the pivot is the nonzero entry of least weight at or below the current
     row (the first on ties); a column without one is skipped.  Every update
     divides by the previous pivot, which Sylvester's identity makes exact
-    (Bareiss 1968), so entries stay in the ring.  Entries below a pivot are
+    (Bareiss 1968), so entries stay in the ring; the first step divides by
+    ``prev``, or not at all when it is None.  Entries below a pivot are
     left as they were and never read again.  Returns the pivot columns.
     """
     pivots = []
-    prev = None
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     for c in range(ncols):
@@ -285,6 +285,7 @@ def bareiss_rank(matrix):
 _POINTS = ((Fraction(17, 5), Fraction(23, 7)),
            (Fraction(29, 11), Fraction(31, 13)),
            (Fraction(41, 3), Fraction(43, 19)))
+_P = (1 << 61) - 1  # the Mersenne prime of the rank probe
 
 
 def _specialize(matrix, point=_POINTS[0]):
@@ -310,21 +311,45 @@ def _specialize(matrix, point=_POINTS[0]):
     return rows
 
 
-def _specialized_rank(matrix):
-    """Rank at the first evaluation point (a lower bound)."""
+def _modular_rank(matrix):
+    """Rank of matrix at the first evaluation point, mod _P.
+
+    Every minor of the reduced matrix reduces a minor at the point, so this
+    is a lower bound on the rank there (0 when a denominator vanishes mod _P).
+    """
+    q, t = (v.numerator * pow(v.denominator, -1, _P) for v in _POINTS[0])
+    power = {(i, j): pow(q, i, _P) * pow(t, j, _P) % _P
+             for i, j in {e for row in matrix for p in row for e in p.terms}}
+    try:  # each value is an int, or a Fraction where a coefficient is one
+        rows = [[(v := sum(c * power[e] for e, c in p.terms.items())).numerator
+                 * pow(v.denominator, -1, _P) % _P for p in row] for row in matrix]
+    except ValueError:
+        return 0
+    # reduced at every step, so no multiple of _P becomes a pivot
+    return len(_eliminate(rows, lambda v, _: v % _P, abs, 1))
+
+
+def _specialized_rank(matrix, bound):
+    """Rank at the first evaluation point, given ``bound``, the rank mod p.
+
+    Equal columns add nothing to a rank, so a bound that reaches the number
+    of distinct columns is the rank; otherwise the integer rows are eliminated.
+    """
+    if bound == len(set(zip(*matrix))):
+        return bound
     return len(_eliminate(_specialize(matrix), operator.floordiv, abs))
 
 
 def matrix_rank(matrix, probe=None):
     """Exact rank over the fraction field of LaurentQT.
 
-    A random rational specialization gives a certified answer whenever it
-    already has full column rank; otherwise fall back to exact elimination.
-    ``probe`` is the specialized rank, when the caller has computed it.
+    A rank at the point (17/5, 23/7), mod 2^61 - 1 or exact, bounds it from
+    below and so certifies full column rank; otherwise fall back to exact
+    elimination.  ``probe`` is that rank, if known; by default the one mod p.
     """
     ncols = len(matrix[0]) if matrix else 0
     if probe is None:
-        probe = _specialized_rank(matrix)
+        probe = _modular_rank(matrix)
     if probe == ncols:
         return ncols
     return bareiss_rank(matrix)
@@ -361,7 +386,7 @@ def adaptive_matrix(n, r: Regime, shapes=None, order=None):
     coefficients of the expanded W series and e_n is the product of the
     drunk contents.  ``shapes`` defaults to Lambda_n.  K is ``order`` when
     given; otherwise K grows until the rank stabilizes or hits the column
-    count, tracking only the cheap specialized lower bound, and the exact
+    count, tracking the rank at the first evaluation point, and the exact
     rank is computed once on the final matrix.  Returns (matrix, rank, K).
     """
     level = enumerate_lambda(n)
@@ -374,8 +399,10 @@ def adaptive_matrix(n, r: Regime, shapes=None, order=None):
     prev_probe = -1
     while True:
         matrix = _build_matrix(n, r, K, shapes)
-        # the probe fixes K, which is part of the output: first point only
-        probe = _specialized_rank(matrix)
+        # the probe fixes K, which is printed: mod p, exact only below full rank
+        probe = _modular_rank(matrix)
+        if probe < len(shapes) and order is None and K < cap:
+            probe = _specialized_rank(matrix, probe)
         if (order is not None or probe == len(shapes) or probe == prev_probe
                 or K >= cap):
             return matrix, matrix_rank(matrix, probe), K

@@ -220,9 +220,16 @@ class LaurentQT:
         if isinstance(other, (int, Fraction)):
             r.terms = {k: v * other for k, v in self.terms.items()} if other else {}
             return r
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:  # a monomial shifts the exponents of the other operand
+            (e2, c2), = b.items()
+            r.terms = {(*map(add, e1, e2),): c1 * c2 for e1, c1 in a.items()}
+            return r
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 k = (*map(add, e1, e2),)
                 w = out.get(k)
                 if w is None:
@@ -256,14 +263,14 @@ class LaurentQT:
         """Terms in exponent order, each variable written as name^exponent."""
         if not self.terms:
             return "0"
-        bits = []
+        names = [x + "^" for x in names]
+        words = []  # a sign before each term; a leading "+" is dropped
         for e, c in sorted(self.terms.items()):
-            mono = ["%s^%d" % (x, p) for x, p in zip(names, e) if p]
-            if not mono or abs(c) != 1:
-                mono.insert(0, str(abs(c)))
-            s = "*".join(mono)
-            bits.append(("- " if c < 0 else "+ " if bits else "") + s)
-        return " ".join(bits).lstrip("+ ")
+            mono = "*".join([f"{x}{p}" for x, p in zip(names, e) if p])
+            words.append("-" if c < 0 else "+")
+            c = abs(c)
+            words.append(f"{c!s}*{mono}" if mono and c != 1 else mono or str(c))
+        return " ".join(words[words[0] == "+":])
 
     def __str__(self):
         return self._format(("q", "t"))

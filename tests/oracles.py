@@ -8,11 +8,12 @@ the idempotents' interpolation product and their orthogonality) that the
 tests hold the library's fast paths against.
 """
 
+import operator
 from collections import Counter
 from itertools import combinations
 
 from bmwcenter.blocks import BlockReport, block_equivalent
-from bmwcenter.center import separation_classes
+from bmwcenter.center import _eliminate, _specialize, separation_classes
 from bmwcenter.contentfn import WheelSignature, reduce_values, signature
 from bmwcenter.errors import RegimeMismatch
 from bmwcenter.idempotents import spectral_idempotent
@@ -333,3 +334,36 @@ def orthogonality_check(n, r=GENERIC):
         if total != (1 if path in drunk_set else 0):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# ranks, printing and products
+
+
+def exact_probe(matrix):
+    """The rank at the first evaluation point as it was computed before the
+    rank mod p: the integer rows, eliminated exactly."""
+    return len(_eliminate(_specialize(matrix), operator.floordiv, abs))
+
+
+def format_oracle(p, names):
+    """The term-by-term printer that LaurentQT._format replaced."""
+    if not p.terms:
+        return "0"
+    bits = []
+    for e, c in sorted(p.terms.items()):
+        mono = ["%s^%d" % (x, k) for x, k in zip(names, e) if k]
+        if not mono or abs(c) != 1:
+            mono.insert(0, str(abs(c)))
+        s = "*".join(mono)
+        bits.append(("- " if c < 0 else "+ " if bits else "") + s)
+    return " ".join(bits).lstrip("+ ")
+
+
+def dense_product(a, b):
+    """a * b by collecting every pair of terms, of a's type."""
+    out = Counter()
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            out[tuple(x + y for x, y in zip(e1, e2))] += c1 * c2
+    return type(a)(out)

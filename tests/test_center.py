@@ -14,7 +14,7 @@ from bmwcenter.errors import ResourceLimit, ZeroDenominator
 from bmwcenter.blocks import is_semisimple
 from bmwcenter.scalars import GENERIC, LaurentQT, power_regime
 from bmwcenter.tableaux import enumerate_lambda
-from oracles import map_exponents
+from oracles import exact_probe, map_exponents
 
 
 def random_poly(rng, nterms=3, span=3):
@@ -333,6 +333,66 @@ def test_specialized_rows_are_proportional_to_fraction_values():
                     continue
                 ratio = Fraction(got[lead]) / exact[lead]
                 assert ratio and got == [ratio * v for v in exact]
+
+
+def probe(matrix):
+    return center._specialized_rank(matrix, center._modular_rank(matrix))
+
+
+def counted_specialize(monkeypatch):
+    calls = []
+
+    def counted(matrix, *point):
+        calls.append(len(matrix))
+        return specialize(matrix, *point)
+
+    specialize = center._specialize
+    monkeypatch.setattr(center, "_specialize", counted)
+    return calls
+
+
+def test_probe_eliminates_exactly_only_below_the_distinct_columns(monkeypatch):
+    one, q, t = LaurentQT.const(1), LaurentQT.monomial(1), LaurentQT.monomial(0, 1)
+    calls = counted_specialize(monkeypatch)
+    # equal columns: the rank mod p reaches the 2 distinct ones
+    assert probe([[one, one, q], [q, q, t]]) == 2
+    assert probe([[one, q], [t, one]]) == 2
+    assert calls == []
+    # three distinct columns of rank 1: the integer rows decide
+    assert probe([[one, q, one + q], [q, q * q, q + q * q]]) == 1
+    assert calls == [2]
+
+
+def test_a_multiple_of_p_never_pivots():
+    P = center._P
+    # determinant P: rank 1 mod P after the first step, 2 over the rationals
+    m = [[LaurentQT.const(2), LaurentQT.const(1)],
+         [LaurentQT.const(1), LaurentQT.const((P + 1) // 2)]]
+    assert center._modular_rank(m) == 1
+    assert probe(m) == exact_probe(m) == matrix_rank(m) == 2
+
+
+def test_a_denominator_divisible_by_p_falls_back_to_the_exact_probe(monkeypatch):
+    calls = counted_specialize(monkeypatch)
+    m = [[LaurentQT.const(Fraction(1, 2 ** 61 - 1)), LaurentQT.monomial(1)]]
+    assert center._modular_rank(m) == 0
+    assert probe(m) == 1 and calls == [1]
+    assert matrix_rank(m) == 1
+
+
+def test_specialized_rank_is_the_exact_probe_on_evaluation_matrices():
+    for n, r in ((3, GENERIC), (4, GENERIC), (4, power_regime(1, 0)),
+                 (4, power_regime(-1, 1)), (4, power_regime(1, 2))):
+        for K in (n, 2 * n):
+            matrix = adaptive_matrix(n, r, order=K)[0]
+            assert center._modular_rank(matrix) <= exact_probe(matrix) == probe(matrix)
+
+
+@pytest.mark.parametrize("n, r, K, rank", [
+    (4, power_regime(-1, 1), 8, 5), (4, power_regime(1, 0), 8, 7),
+    (5, power_regime(1, 2), 10, 9), (6, GENERIC, 6, 19)])
+def test_adaptive_matrix_order_and_rank(n, r, K, rank):
+    assert adaptive_matrix(n, r)[1:] == (rank, K)
 
 
 def test_independent_rows_survive_an_unlucky_point():

@@ -9,7 +9,8 @@ from bmwcenter.errors import RegimeMismatch
 from bmwcenter.scalars import (ADD, Content, ContentValue, GENERIC, LaurentQT,
                                REMOVE, content_value, expand_W_series,
                                power_regime, regime_from_text, wheel_series)
-from oracles import is_one, value_product
+from bmwcenter.wheelpoly import MultiLaurent
+from oracles import dense_product, format_oracle, is_one, value_product
 
 
 def test_regime_parsing():
@@ -106,7 +107,57 @@ def test_coefficients_are_ints_or_fractions():
 
 def test_laurent_str():
     p = LaurentQT.monomial(2) - LaurentQT.const(1)
-    assert str(p) == "1 - q^2" or str(p) == "- 1 + q^2"
+    assert str(p) == "- 1 + q^2"
+
+
+COEFFICIENTS = (1, -1, 2, -7, 30, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3))
+
+
+def random_laurent(rng, n, nterms):
+    """A LaurentQT (n = 2) or MultiLaurent in n variables, with exponents
+    in [-3, 3] and small int and Fraction coefficients."""
+    cls = LaurentQT if n == 2 else MultiLaurent
+    return cls({tuple(rng.randint(-3, 3) for _ in range(n)): rng.choice(COEFFICIENTS)
+                for _ in range(nterms)})
+
+
+def test_printer_matches_the_term_by_term_oracle():
+    rng = random.Random(3)
+    cases = [LaurentQT(), LaurentQT.const(1), LaurentQT.const(-1),
+             LaurentQT.const(Fraction(-2, 3)), LaurentQT.monomial(0, -2, -1),
+             MultiLaurent(), MultiLaurent.const(3, -5)]
+    for _ in range(300):
+        n = rng.choice((1, 2, 2, 3, 4, 5))
+        cases.append(random_laurent(rng, n, rng.randint(1, 6)))
+    seen = set()
+    for p in cases:
+        names = (("q", "t") if type(p) is LaurentQT
+                 else ["x%d" % i for i in range(1, p.n + 1)])
+        assert str(p) == format_oracle(p, names)
+        seen.update(p.terms.values())
+    # negative, Fraction and +-1 coefficients all printed
+    assert {1, -1, Fraction(1, 2), Fraction(-3, 4)} <= seen
+
+
+def test_monomial_products_match_the_dense_product():
+    rng = random.Random(4)
+    for _ in range(200):
+        n = rng.choice((1, 2, 2, 3, 5))
+        mono = random_laurent(rng, n, 1)
+        if rng.random() < 0.2:
+            # the constant 1 must not hand back the other operand's terms
+            mono = type(mono)({(0,) * n: 1})
+        for other in (random_laurent(rng, n, rng.randint(0, 6)),
+                      random_laurent(rng, n, 1), type(mono)()):
+            before = [(p, dict(p.terms)) for p in (mono, other)]
+            for a, b in ((mono, other), (other, mono)):
+                got = a * b
+                assert type(got) is type(mono)
+                assert got == dense_product(a, b)
+                # a fresh dict, and neither operand changed
+                assert got.terms is not a.terms and got.terms is not b.terms
+                got.terms[(9,) * n] = 1
+                assert all(p.terms == terms for p, terms in before)
 
 
 def series_product(a, b):
