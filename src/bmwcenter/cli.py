@@ -28,11 +28,49 @@ def _lp_json(lp):
 
 
 def _path_text(path):
-    return " -> ".join(text_of_partition(s) for s in path)
+    return " -> ".join(map(text_of_partition, path))
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_SCALAR = {str: _ESCAPE, int: int.__repr__, type(None): lambda _: "null",
+           bool: lambda b: "true" if b else "false"}
+
+
+def _layout(x, pad, out):
+    """Append the chunks of ``json.dumps(x, indent=2, sort_keys=True)`` to
+    out, indented as a value nested at indent pad; dict keys must be str."""
+    scalar = _SCALAR.get(type(x))
+    if scalar is not None:
+        out.append(scalar(x))
+    elif x and isinstance(x, (list, tuple)):
+        sep = ",\n" + pad + "  "
+        out.append("[" + sep[1:])
+        try:  # a list of strings is one C call
+            out.append(sep.join(map(_ESCAPE, x)))
+        except TypeError:
+            for i, v in enumerate(x):
+                if i:
+                    out.append(sep)
+                _layout(v, pad + "  ", out)
+        out.append("\n" + pad + "]")
+    elif x and isinstance(x, dict):
+        sep = "{\n" + pad + "  "
+        for k, v in sorted(x.items()):
+            out.append(sep + _ESCAPE(k) + ": ")
+            _layout(v, pad + "  ", out)
+            sep = ",\n" + pad + "  "
+        out.append("\n" + pad + "}")
+    else:  # empty containers, floats and other types: one line each
+        out.append(json.dumps(x))
 
 
 def _emit(payload):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print payload as ``json.dumps(payload, indent=2, sort_keys=True)``
+    would, without that call's fall back to the pure-Python encoder."""
+    out = []
+    _layout(payload, "", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def cmd_lambda(args):
@@ -48,11 +86,11 @@ def cmd_lambda(args):
 def cmd_paths(args):
     paths = tableaux.enumerate_paths(args.n, args.shape)
     if args.format == "json":
-        _emit([[text_of_partition(s) for s in p] for p in paths])
+        _emit([[*map(text_of_partition, p)] for p in paths])
     else:
-        for p in paths:
-            print(_path_text(p))
-        print("total: %d" % len(paths))
+        lines = [" -> ".join(map(text_of_partition, p)) for p in paths]
+        lines.append("total: %d\n" % len(paths))
+        sys.stdout.write("\n".join(lines))
     return 0
 
 
@@ -253,9 +291,10 @@ def cmd_graph(args):
                           "child": text_of_partition(b),
                           "value": str(v)} for k, a, b, v in edges]})
         return 0
-    for k, a, b, v in edges:
-        print("L%d:%s -> L%d:%s  [%s]" % (k - 1, text_of_partition(a), k,
-                                          text_of_partition(b), v))
+    sys.stdout.write("".join(
+        "L%d:%s -> L%d:%s  [%s]\n" % (k - 1, text_of_partition(a), k,
+                                       text_of_partition(b), v)
+        for k, a, b, v in edges))
     return 0
 
 

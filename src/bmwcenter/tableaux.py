@@ -127,44 +127,35 @@ def _spread(counts):
 def enumerate_paths(n, lam: Partition):
     """All updown paths of length n from the empty partition to lam.
 
-    Depth-first with lexicographic box order, so the output order is
-    deterministic.  The walk runs over the branching graph pruned to the
-    shapes that can still reach lam, so it never enters a dead end.  Raises
-    ``ResourceLimit`` above ``MAX_PATHS`` paths, before any path is built.
+    In lexicographic box order (each step in the order of ``children``),
+    so the output order is deterministic.  Built meet-in-the-middle over
+    the branching graph pruned to the shapes that can still reach lam, so
+    no walk enters a dead end.  Raises ``ResourceLimit`` above
+    ``MAX_PATHS`` paths, before any path is built.
     """
     labeled(n, lam)  # validates the (shape, level) pair
-    if n == 0:
-        return [UpDownTableau._trusted((EMPTY,))]
-    # The recursion of path_counts, run backwards from lam: ways maps each
-    # shape that a path to lam passes through at level k to its number of
-    # completions.  A shape at level k has at most k boxes, and every such
-    # shape of the right parity is reachable from the empty one, so each
-    # has a prefix and sum(ways) bounds the path count from below.  A node
-    # is (shape, kids), with the kids in the order of children(shape).
-    ways = {lam: 1}
-    nodes = {lam: (lam, ())}
+    # The recursion of path_counts, run backwards from lam: levels[k] maps
+    # each shape that a path to lam passes through at level k to its number
+    # of completions.  A shape at level k has at most k boxes, and every
+    # such shape of the right parity is reachable from the empty one, so
+    # each has a prefix and sum(levels[k]) bounds the path count from below.
+    what = "level %d, shape %s" % (n, text_of_partition(lam))
+    levels = [{}] * n + [{lam: 1}]
     for k in range(n - 1, -1, -1):
-        ways = {m: c for m, c in _spread(ways).items() if m.size <= k}
-        _refuse_above_cap(sum(ways.values()),
-                          "level %d, shape %s" % (n, text_of_partition(lam)))
-        nodes = {s: (s, tuple(nodes[m] for m in children(s) if m in nodes))
-                 for s in ways}
+        levels[k] = {m: c for m, c in _spread(levels[k + 1]).items() if m.size <= k}
+        _refuse_above_cap(sum(levels[k].values()), what)
+    # Every path is a head (T_0..T_mid) and a tail (T_mid+1..T_n); tails
+    # maps each middle shape to its tails, heads are extended forward.
+    mid = n // 2
+    tails = {lam: [()]}
+    for k in range(n - 1, mid - 1, -1):
+        tails = {s: [(m, *t) for m in children(s) if m in tails for t in tails[m]]
+                 for s in levels[k]}
+    heads = [(EMPTY,)]
+    for k in range(1, mid + 1):
+        heads = [(*h, m) for h in heads for m in children(h[-1]) if m in levels[k]]
     new = UpDownTableau._trusted
-    out = []
-    path = [EMPTY]
-    stack = [iter(nodes[EMPTY][1])]
-    while stack:
-        for shape, kids in stack[-1]:
-            path.append(shape)
-            if kids:
-                stack.append(iter(kids))
-                break
-            out.append(new(path))
-            path.pop()
-        else:
-            stack.pop()
-            path.pop()
-    return out
+    return [new(h + t) for h in heads for t in tails[h[-1]]]
 
 
 def path_counts(n):

@@ -304,6 +304,44 @@ def test_family_command(capsys):
     assert len(data["representatives"]) == len(enumerate_lambda(2))
 
 
+# one small job per subcommand, each printed with --format json
+JSON_JOBS = [
+    ["lambda", "--n", "3"],
+    ["paths", "--n", "4", "--shape", "2"],
+    ["contents", "--n", "4", "--shape", "2", "--t", "q^2"],
+    ["wheel", "--n", "2", "--order", "3"],
+    ["signature", "--n", "4", "--shape", "2,1,1", "--t", "-q^3"],
+    ["pairs", "--n", "4", "--shape", "1,1,1,1", "--t", "q^2"],
+    ["separate", "--n", "4", "--t", "q^0"],
+    ["matrix", "--n", "3"],
+    ["family", "--n", "2"],
+    ["semisimple", "--n", "3", "--t", "q^0"],
+    ["blocks", "--n", "3", "--t", "q^-1"],
+    ["verify-blocks", "--n", "4", "--t", "q^0"],
+    ["idempotent", "--n", "4", "--shape", "2"],
+    ["graph", "--n", "3", "--t", "q^2"],
+    ["selfcheck", "--n", "3", "--t", "q^2"],
+]
+
+
+def test_json_output_is_the_indent_2_sorted_layout(capsys):
+    assert [argv[0] for argv in JSON_JOBS] == list(cli.COMMANDS)
+    for argv in JSON_JOBS:
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+
+def test_emit_lays_out_a_list_item_by_item_after_strings(capsys):
+    # the strings before the dict start the one-call join of a list of
+    # strings, which fails on the dict; the list is then laid out item by item
+    payload = ["a", 'b"\\\n', {"k": [1, True, None, "\xe9"], "a": [], "b": {}},
+               "c", (), ("x", "y")]
+    cli._emit(payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2,
+                                                 sort_keys=True) + "\n"
+
+
 def test_parser_is_built_once(capsys, monkeypatch):
     def rebuilt():
         raise AssertionError("the parser is built at import")

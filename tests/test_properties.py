@@ -1,12 +1,16 @@
 """Property tests; skipped when hypothesis is not installed."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from bmwcenter import center  # noqa: E402
+from bmwcenter import center, cli  # noqa: E402
 from bmwcenter.blocks import is_semisimple, verify_block_theorem  # noqa: E402
 from bmwcenter.errors import ZeroDenominator  # noqa: E402
 from bmwcenter.partitions import partitions_of  # noqa: E402
@@ -112,3 +116,24 @@ def test_block_theorem_on_non_semisimple_even_grid():
     assert len(NON_SEMISIMPLE_EVEN) == 144
     for n, r in NON_SEMISIMPLE_EVEN:
         assert verify_block_theorem(n, r), (n, r)
+
+
+# text that needs escaping: quotes, backslashes, control characters and
+# non-ASCII letters, symbols and astral characters
+TEXT = st.text() | st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a\xe9\u20ac\U0001d11e'))
+JSON_LEAVES = (TEXT | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+               | st.booleans() | st.none())
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(TEXT) | st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(TEXT, inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(JSON_PAYLOADS)
+def test_emit_is_the_indent_2_sorted_layout(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload)
+    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -173,11 +173,21 @@ def oracle_paths(n, lam):
     return out
 
 
+# the shapes of the paths benchmark catalogue at its two top levels
+CATALOGUE_SHAPES = {9: ((2, 1), (3, 2), (2, 2, 1), (4, 1), (2, 1, 1, 1)),
+                    10: ((2,), (1, 1), (4, 2), (2, 2, 1, 1))}
+
+
 def test_enumerate_paths_matches_oracle_in_order():
-    for n in range(0, 8):
-        for lp in enumerate_lambda(n):
-            got = enumerate_paths(n, lp.shape)
-            assert got == oracle_paths(n, lp.shape)
+    # every shape to n = 8, then odd and even n above it, so the middle
+    # level n // 2 splits the path evenly and unevenly
+    cases = [(n, lp.shape) for n in range(0, 9) for lp in enumerate_lambda(n)]
+    cases += [(n, Partition(lam)) for n, shapes in CATALOGUE_SHAPES.items()
+              for lam in shapes]
+    for n, lam in cases:
+        got = enumerate_paths(n, lam)
+        assert got == oracle_paths(n, lam)
+        assert all(type(p) is UpDownTableau for p in got)
 
 
 def test_restriction_shapes_are_truncations():
@@ -228,6 +238,20 @@ def test_path_cap_refuses_before_walking(monkeypatch):
         path_counts(12)
     assert sum(path_counts(11).values()) == 669351
     assert enumerate_paths(40, Partition((40,))) == [canonical_path(Partition((40,)))]
+
+
+def test_path_cap_refuses_before_any_head_or_tail(monkeypatch):
+    # 16, EMPTY is refused at level 3, below the middle level 8: every
+    # children() call made until then is one of the backward pass's, so no
+    # head or tail of a path has been extended
+    spread_in, asked = [], []
+    spread, kids = tableaux._spread, tableaux.children
+    monkeypatch.setattr(tableaux, "_spread",
+                        lambda counts: spread_in.append(len(counts)) or spread(counts))
+    monkeypatch.setattr(tableaux, "children", lambda s: asked.append(s) or kids(s))
+    with pytest.raises(ResourceLimit, match="level 16"):
+        enumerate_paths(16, EMPTY)
+    assert len(spread_in) == 13 and len(asked) == sum(spread_in)
 
 
 def test_path_cap_is_exact(monkeypatch):
