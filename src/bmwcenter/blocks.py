@@ -13,7 +13,7 @@ from .center import separation_classes
 from .errors import LevelMismatch, RegimeMismatch
 from .partitions import Partition, intersection, skew_datum
 from .scalars import Regime
-from .tableaux import LabeledPartition, enumerate_lambda
+from .tableaux import LabeledPartition
 
 
 def is_semisimple(n, r: Regime) -> bool:
@@ -99,9 +99,11 @@ def block_partition(n, r: Regime) -> BlockReport:
     closure.  Only the pairs within each class of ``separation_classes``
     are tested.
     """
-    lps = enumerate_lambda(n)
-    index = {lp: i for i, lp in enumerate(lps)}
     report = separation_classes(n, r)
+    # the classes hold Lambda_n once over; sorting restores its order
+    lps = sorted((lp for c in report.classes for lp in c),
+                 key=LabeledPartition.sort_key)
+    index = {lp: i for i, lp in enumerate(lps)}
     parent = list(range(len(lps)))
 
     def find(i):

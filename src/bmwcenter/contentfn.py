@@ -4,7 +4,11 @@ W(lambda, t) = prod(1 - c^-1 T) / prod(1 - c T) over the drunk content
 multiset.  We store only the reduced exponent function e(v), where e(v) is
 the net exponent of (1 - vT) in the numerator; equal inverse pairs and
 self-inverse values cancel, which is exactly rational-function reduction
-because q is never a root of unity.
+because q is never a root of unity.  The defect's f contents t and t^-1
+are such a pair, so ``signature`` reads e straight off the boxes of lambda:
+each box on diagonal d, of value v = t q^2d, adds -1 at v and +1 at v^-1
+unless v is self-inverse.  The tests hold it against the reduction of the
+full value multiset (``reduce_values`` in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from collections import Counter
 
 from .errors import RegimeMismatch
 from .partitions import Partition, diagonal_datum
-from .scalars import ADD, Content, Regime, content_value, expand_W_series
+from .scalars import (ADD, Content, ContentValue, Regime, content_value,
+                      expand_W_series)
 from .tableaux import labeled
 from .wheelpoly import evaluate
 
@@ -64,17 +69,6 @@ class WheelSignature:
         return "WheelSignature(%s)" % self
 
 
-def reduce_values(values, kind) -> WheelSignature:
-    """Signature of prod(1 - v^-1 T)/prod(1 - v T) over a value multiset."""
-    exps = Counter()
-    for v, m in Counter(values).items():
-        inv = v.inverse()
-        if v != inv:
-            exps[v] -= m
-            exps[inv] += m
-    return WheelSignature(kind, exps)
-
-
 def drunk_contents(n, lam: Partition):
     """Content multiset of the drunk path, in closed form.
 
@@ -102,8 +96,33 @@ def drunk_content_values(n, lam: Partition, r: Regime):
 
 
 def signature(n, lam: Partition, r: Regime) -> WheelSignature:
-    """Reduced signature of W(lam, t) at level n."""
-    return reduce_values(drunk_content_values(n, lam, r), r.kind)
+    """Reduced signature of W(lam, t) at level n, from the box tally.
+
+    With t = eps q^N (N = 0 generically) a box on diagonal d has value
+    t q^2d, that is eps q^k or t q^k with k = N + 2d; row i (from 0) of
+    length a covers k = N - 2i, ..., N + 2(a - i - 1) in steps of 2.  In a
+    power regime eps q^k and eps q^-k are inverse, and k = 0 is
+    self-inverse; generically t q^k is inverse to t^-1 q^-k.
+    """
+    labeled(n, lam)  # validates the (shape, level) pair
+    N = r.exponent
+    tally = {}
+    for i, a in enumerate(lam):
+        for k in range(N - 2 * i, N + 2 * (a - i), 2):
+            tally[k] = tally.get(k, 0) + 1
+    exps = {}
+    if r.is_generic:
+        for k, m in tally.items():
+            exps[ContentValue("generic", 1, k)] = -m
+            exps[ContentValue("generic", -1, -k)] = m
+        return WheelSignature("generic", exps)
+    eps = r.sign
+    for k in {abs(k) for k in tally} - {0}:
+        e = tally.get(-k, 0) - tally.get(k, 0)
+        if e:
+            exps[ContentValue("power", eps, k)] = e
+            exps[ContentValue("power", eps, -k)] = -e
+    return WheelSignature("power", exps)
 
 
 def pairing_set(n, lam: Partition, r: Regime):

@@ -96,7 +96,8 @@ def partition_from_text(text: str) -> Partition:
 
 def _parts_rec(rem, cap, acc):
     if rem == 0:
-        yield Partition(acc)
+        # acc is positive and weakly decreasing by construction
+        yield tuple.__new__(Partition, acc)
         return
     for first in range(min(rem, cap), 0, -1):
         yield from _parts_rec(rem - first, first, acc + (first,))

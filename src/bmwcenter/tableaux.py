@@ -59,10 +59,9 @@ class UpDownTableau(tuple):
             if abs(a.size - b.size) != 1 or not (a.contains(b) or b.contains(a)):
                 raise ValueError("consecutive shapes must differ by one box")
 
-    @classmethod
-    def _trusted(cls, steps):
-        """A tableau on steps already known to form a path; not validated."""
-        return tuple.__new__(cls, steps)
+    # _trusted(steps): a tableau on steps already known to form a path, not
+    # validated; tuple.__new__ itself, so no Python frame per path
+    _trusted = classmethod(tuple.__new__)
 
     def __repr__(self):
         return "UpDownTableau(%s)" % " -> ".join(text_of_partition(s) for s in self)

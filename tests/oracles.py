@@ -3,6 +3,7 @@
 Nothing in ``bmwcenter`` calls these: they are slow, direct restatements
 of definitions (box geometry, dominance, the Rui-Si order, wheel
 membership, the Newton identities through the inverse series,
+the reduction of a content-value multiset to its signature,
 multiplicativity of W, block classification over every pair of Lambda_n,
 the idempotents' interpolation product and their orthogonality) that the
 tests hold the library's fast paths against.
@@ -14,7 +15,7 @@ from itertools import combinations
 
 from bmwcenter.blocks import BlockReport, block_equivalent
 from bmwcenter.center import _eliminate, _specialize, separation_classes
-from bmwcenter.contentfn import WheelSignature, reduce_values, signature
+from bmwcenter.contentfn import WheelSignature, signature
 from bmwcenter.errors import RegimeMismatch
 from bmwcenter.idempotents import spectral_idempotent
 from bmwcenter.partitions import EMPTY, Partition, skew_datum
@@ -160,6 +161,18 @@ def power_sig(entries):
     """The power-regime signature with exponent e at value q^b, for {b: e}."""
     return WheelSignature("power", {ContentValue("power", 1, b): e
                                     for b, e in entries.items()})
+
+
+def reduce_values(values, kind) -> WheelSignature:
+    """Signature of prod(1 - v^-1 T)/prod(1 - v T) over a value multiset:
+    each value cancels against its inverse, and self-inverse ones drop."""
+    exps = Counter()
+    for v, m in Counter(values).items():
+        inv = v.inverse()
+        if v != inv:
+            exps[v] -= m
+            exps[inv] += m
+    return WheelSignature(kind, exps)
 
 
 def merge(a, b):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from bmwcenter import blocks, cli
+from bmwcenter import blocks, center, cli, tableaux
 from bmwcenter.blocks import (block_equivalent, block_partition,
                               check_admissible, is_admissible, is_semisimple,
                               verify_block_theorem)
@@ -205,3 +205,22 @@ def test_block_equivalent_runs_on_same_signature_pairs_only(monkeypatch, r):
                for a, b in calls)
     # 64 at q^2 and 135 at -q^3, against 12,720 pairs in all of Lambda_12
     assert len(calls) == sum(comb(len(c), 2) for c in classes)
+
+
+def test_block_partition_walks_lambda_once(monkeypatch):
+    # Lambda_n comes from separation_classes alone; the blocks follow its
+    # order all the same
+    r = power_regime(1, 2)
+    expected = oracle_block_partition(8, r)
+    real, calls = tableaux.enumerate_lambda, []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    for module in (tableaux, center, blocks):
+        monkeypatch.setattr(module, "enumerate_lambda", counted, raising=False)
+    rep = block_partition(8, r)
+    assert calls == [8]
+    assert rep.blocks == expected.blocks
+    assert rep.closure_pairs == expected.closure_pairs

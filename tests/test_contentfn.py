@@ -5,15 +5,16 @@ from collections import Counter
 
 import pytest
 
-from bmwcenter.contentfn import (WheelSignature, drunk_contents, pairing_set,
-                                 reduce_values, series_consistency, signature,
-                                 signature_json)
+from bmwcenter.contentfn import (WheelSignature, drunk_content_values,
+                                 drunk_contents, pairing_set, series_consistency,
+                                 signature, signature_json)
 from bmwcenter.errors import RegimeMismatch, ShapeLevelMismatch
 from bmwcenter.partitions import EMPTY, Partition, diagonal_datum
 from bmwcenter.scalars import ADD, Content, ContentValue, GENERIC, power_regime
 from bmwcenter.tableaux import content_sequence, drunk_path, enumerate_lambda
 from bmwcenter.wheelpoly import wheel_coefficients
-from oracles import merge, multiplicativity_check, power_sig, skew_signature
+from oracles import (merge, multiplicativity_check, power_sig, reduce_values,
+                     skew_signature)
 
 
 def test_drunk_contents_closed_form():
@@ -51,6 +52,23 @@ def test_reduce_values_order_independent():
         shuffled = vals[:]
         rng.shuffle(shuffled)
         assert reduce_values(shuffled, "power") == base
+
+
+def test_signature_closed_form_matches_reduced_values():
+    # the box tally against the reduction of the whole drunk value multiset,
+    # generically and at t = +-q^N on both sides of every cancellation
+    for n in range(9):
+        regimes = [GENERIC] + [power_regime(eps, N) for eps in (1, -1)
+                               for N in range(-2 * n - 3, 2 * n + 4)]
+        lps = enumerate_lambda(n)
+        for r in regimes:
+            for lp in lps:
+                closed = signature(n, lp.shape, r)
+                reduced = reduce_values(drunk_content_values(n, lp.shape, r), r.kind)
+                assert closed == reduced, (n, lp, r)
+                assert hash(closed) == hash(reduced)
+                assert str(closed) == str(reduced)
+                assert closed.sorted_entries() == reduced.sorted_entries()
 
 
 def test_signature_antisymmetry():

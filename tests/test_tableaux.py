@@ -210,6 +210,14 @@ def test_trusted_tableaux_equal_validated_ones():
         UpDownTableau([EMPTY, Partition((2,))])
 
 
+def test_enumerated_shapes_are_valid_partitions():
+    # partitions_of builds its shapes without the validating constructor
+    for n in range(13):
+        for lp in enumerate_lambda(n):
+            assert type(lp.shape) is Partition
+            assert lp.shape == Partition(tuple(lp.shape))
+
+
 def test_shapes_and_paths_are_tuples():
     shapes = list(partitions_of(6))
     for lam in shapes:
