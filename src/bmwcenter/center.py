@@ -286,6 +286,7 @@ _POINTS = ((Fraction(17, 5), Fraction(23, 7)),
            (Fraction(29, 11), Fraction(31, 13)),
            (Fraction(41, 3), Fraction(43, 19)))
 _P = (1 << 61) - 1  # the Mersenne prime of the rank probe
+_QT = [v.numerator * pow(v.denominator, -1, _P) % _P for v in _POINTS[0]]  # q, t mod _P
 
 
 def _specialize(matrix, point=_POINTS[0]):
@@ -311,13 +312,17 @@ def _specialize(matrix, point=_POINTS[0]):
     return rows
 
 
+def _rank_mod_p(rows):  # reduced at every step, so no multiple of _P pivots
+    return len(_eliminate(rows, lambda v, _: v % _P, abs, 1))
+
+
 def _modular_rank(matrix):
     """Rank of matrix at the first evaluation point, mod _P.
 
     Every minor of the reduced matrix reduces a minor at the point, so this
     is a lower bound on the rank there (0 when a denominator vanishes mod _P).
     """
-    q, t = (v.numerator * pow(v.denominator, -1, _P) for v in _POINTS[0])
+    q, t = _QT
     power = {(i, j): pow(q, i, _P) * pow(t, j, _P) % _P
              for i, j in {e for row in matrix for p in row for e in p.terms}}
     try:  # each value is an int, or a Fraction where a coefficient is one
@@ -325,8 +330,7 @@ def _modular_rank(matrix):
                  * pow(v.denominator, -1, _P) % _P for p in row] for row in matrix]
     except ValueError:
         return 0
-    # reduced at every step, so no multiple of _P becomes a pivot
-    return len(_eliminate(rows, lambda v, _: v % _P, abs, 1))
+    return _rank_mod_p(rows)
 
 
 def _specialized_rank(matrix, bound):
@@ -379,6 +383,28 @@ def _build_matrix(n, r, K, shapes):
     return [[col[k] for col in columns] for k in range(3 * (K + 1))]
 
 
+def _modular_rows(n, r, K, shapes):
+    """_build_matrix(n, r, K, shapes) mod _P at the first evaluation point,
+    from the content values: evaluation is a ring map, so the W series and
+    e_n^{+-1} are formed on the values as on their monomials."""
+    q, t = _QT
+    columns = []
+    for lp in shapes:
+        w, e = [1] + [0] * K, 1
+        for v in drunk_content_values(n, lp.shape, r):
+            m = (v.a * pow(q, v.b, _P) if v.kind == "power"  # +-q^b or t^a q^b
+                 else pow(t, v.a, _P) * pow(q, v.b, _P)) % _P
+            neg = -pow(m, -1, _P)
+            for k in range(K, 0, -1):
+                w[k] = (w[k] + neg * w[k - 1]) % _P
+            for k in range(1, K + 1):
+                w[k] = (w[k] + m * w[k - 1]) % _P
+            e = e * m % _P
+        einv = pow(e, -1, _P)
+        columns.append(w + [e * x % _P for x in w] + [einv * x % _P for x in w])
+    return [list(row) for row in zip(*columns)]
+
+
 def adaptive_matrix(n, r: Regime, shapes=None, order=None):
     """Evaluations of e_n^j * w_k (j = 0, 1, -1; k <= K) over the shapes.
 
@@ -386,8 +412,11 @@ def adaptive_matrix(n, r: Regime, shapes=None, order=None):
     coefficients of the expanded W series and e_n is the product of the
     drunk contents.  ``shapes`` defaults to Lambda_n.  K is ``order`` when
     given; otherwise K grows until the rank stabilizes or hits the column
-    count, tracking the rank at the first evaluation point, and the exact
-    rank is computed once on the final matrix.  Returns (matrix, rank, K).
+    count, tracking the rank at the first evaluation point.  That rank is
+    probed mod p on rows computed from the content values; the exact
+    matrix is built only where the probe stays below the column count (for
+    the exact probe) and for the final K, whose exact rank is computed
+    once.  Returns (matrix, rank, K).
     """
     level = enumerate_lambda(n)
     cap = 4 * len(level)
@@ -398,13 +427,15 @@ def adaptive_matrix(n, r: Regime, shapes=None, order=None):
         raise ResourceLimit("order %d exceeds cap %d at level %d" % (K, cap, n))
     prev_probe = -1
     while True:
-        matrix = _build_matrix(n, r, K, shapes)
         # the probe fixes K, which is printed: mod p, exact only below full rank
-        probe = _modular_rank(matrix)
+        probe = _rank_mod_p(_modular_rows(n, r, K, shapes))
+        matrix = None
         if probe < len(shapes) and order is None and K < cap:
+            matrix = _build_matrix(n, r, K, shapes)
             probe = _specialized_rank(matrix, probe)
         if (order is not None or probe == len(shapes) or probe == prev_probe
                 or K >= cap):
+            matrix = matrix or _build_matrix(n, r, K, shapes)
             return matrix, matrix_rank(matrix, probe), K
         prev_probe = probe
         K = min(2 * K, cap)

@@ -7,8 +7,9 @@ Root-of-unity parameters are unrepresentable by construction.
 Content values live in the group {+-1} x Z (power regimes, sigma * q^m) or
 in the free abelian group on t and q^2 (generic).  LaurentQT is the sparse
 exact Laurent polynomial, in q and t here and in x_1 ... x_n as
-wheelpoly.MultiLaurent; its coefficients are ints, and Fractions only where
-a quotient is not integral (see exact_ratio).  wheel_series expands
+wheelpoly.MultiLaurent; its arithmetic shifts and adds term dicts in place
+through one kernel, _add_shifted.  Coefficients are ints, and Fractions
+where a quotient is not integral (see exact_ratio).  wheel_series expands
 prod(1 - m^-1 T) / prod(1 - m T) over monomials of either ring.
 """
 
@@ -153,14 +154,31 @@ def _coefficient(v):
 _new = object.__new__
 
 
+def _add_shifted(dst, src, e, c):
+    """dst += c * x^e * src on term dicts, in place (c != 0, dst is not src)."""
+    if len(e) == 2:  # (q, t) exponents unpack faster than a tuple map
+        x, y = e
+        keys = [(p + x, q + y) for p, q in src]
+    else:
+        keys = [(*map(add, k, e),) for k in src]
+    get = dst.get
+    for k, v in zip(keys, src.values()):
+        w = get(k, 0) + v * c
+        if w:
+            dst[k] = w
+        else:  # c != 0, so a zero sum means k was in dst
+            del dst[k]
+
+
 class LaurentQT:
     """Sparse Laurent polynomial with exact coefficients.
 
     ``terms`` maps exponent tuples, all of one length, to nonzero
-    coefficients: ints, or Fractions where a quotient was not integral, so
-    integer inputs keep every result integral.  The tuples are (q, t)
-    exponents here; the subclass ``wheelpoly.MultiLaurent`` uses the same
-    arithmetic in x_1 ... x_n.
+    coefficients, ints or Fractions.  Integer inputs keep every result an
+    int; products of Fractions may leave an integral Fraction, which prints,
+    compares and hashes as its int.  The tuples are (q, t) exponents here;
+    the subclass ``wheelpoly.MultiLaurent`` uses the same arithmetic in
+    x_1 ... x_n.
     """
 
     __slots__ = ("terms",)
@@ -218,29 +236,15 @@ class LaurentQT:
     def __mul__(self, other):
         r = _new(type(self))
         if isinstance(other, (int, Fraction)):
+            other = _coefficient(other)
             r.terms = {k: v * other for k, v in self.terms.items()} if other else {}
             return r
         a, b = self.terms, other.terms
-        if len(a) == 1:
+        if len(a) < len(b):
             a, b = b, a
-        if len(b) == 1:  # a monomial shifts the exponents of the other operand
-            (e2, c2), = b.items()
-            r.terms = {(*map(add, e1, e2),): c1 * c2 for e1, c1 in a.items()}
-            return r
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                k = (*map(add, e1, e2),)
-                w = out.get(k)
-                if w is None:
-                    out[k] = c1 * c2
-                else:
-                    w += c1 * c2
-                    if w:
-                        out[k] = w
-                    else:
-                        del out[k]
-        r.terms = out
+        r.terms = out = {}
+        for e, c in b.items():  # one shift of the longer operand per term
+            _add_shifted(out, a, e, c)
         return r
 
     __rmul__ = __mul__
@@ -259,21 +263,16 @@ class LaurentQT:
     def monomial_inverse(self):
         return self.pow(-1)
 
-    def _format(self, names):
-        """Terms in exponent order, each variable written as name^exponent."""
-        if not self.terms:
-            return "0"
-        names = [x + "^" for x in names]
-        words = []  # a sign before each term; a leading "+" is dropped
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join([f"{x}{p}" for x, p in zip(names, e) if p])
-            words.append("-" if c < 0 else "+")
-            c = abs(c)
-            words.append(f"{c!s}*{mono}" if mono and c != 1 else mono or str(c))
-        return " ".join(words[words[0] == "+":])
-
     def __str__(self):
-        return self._format(("q", "t"))
+        """Terms in (q, t) exponent order, e.g. "- 1 + 3/4*q^2*t^-1"."""
+        words = []
+        for (a, b), c in sorted(self.terms.items()):
+            sign, c = "-" if c < 0 else "+", abs(c)
+            k = "" if c == 1 else f"{c!s}*"
+            words.append(f"{sign} {k}q^{a}*t^{b}" if a and b else f"{sign} {k}q^{a}" if a
+                         else f"{sign} {k}t^{b}" if b else f"{sign} {c!s}")
+        text = " ".join(words) or "0"
+        return text[2:] if text[0] == "+" else text
 
     def __repr__(self):
         return "LaurentQT(%s)" % self
@@ -287,18 +286,19 @@ def wheel_series(monomials, one, order):
     """T^0 ... T^order coefficients of prod(1 - m^-1 T) / prod(1 - m T).
 
     The product runs over the monomials m (a multiset; repeats allowed) and
-    ``one`` is the constant 1 of their ring.  Each m costs 2 * order
-    monomial products: multiplying by 1 - m^-1 T updates c_k += -m^-1 c_{k-1}
-    from the top down (-m^-1 is formed once per m), dividing by 1 - m T
-    updates c_k += m c_{k-1} from the bottom up.
+    ``one`` is the constant 1 of their ring.  Each coefficient c_k is one
+    term dict, updated in place by 2 * order shifts per m: multiplying by
+    1 - m^-1 T adds -m^-1 c_{k-1} to c_k from the top down (-1/coeff formed
+    once per m), dividing by 1 - m T adds m c_{k-1} from the bottom up.
     """
-    c = [one] + [one * 0] * order
+    c = [one * 1] + [one * 0 for _ in range(order)]  # each with a fresh dict
     for m in monomials:
-        neg = -m.monomial_inverse()
+        (e, coeff), = m.terms.items()
+        inv, neg = tuple(-x for x in e), exact_ratio(-1, coeff)
         for k in range(order, 0, -1):
-            c[k] = c[k] + neg * c[k - 1]
+            _add_shifted(c[k].terms, c[k - 1].terms, inv, neg)
         for k in range(1, order + 1):
-            c[k] = c[k] + m * c[k - 1]
+            _add_shifted(c[k].terms, c[k - 1].terms, e, coeff)
     return c
 
 

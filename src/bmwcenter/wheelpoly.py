@@ -37,7 +37,16 @@ class MultiLaurent(LaurentQT):
         return len(next(iter(self.terms), ()))
 
     def __str__(self):
-        return self._format(["x%d" % (i + 1) for i in range(self.n)])
+        """Terms in exponent order, each variable written as x<i>^exponent."""
+        names = ["x%d^" % i for i in range(1, self.n + 1)]
+        words = []
+        for e, c in sorted(self.terms.items()):
+            mono = "*".join([f"{x}{p}" for x, p in zip(names, e) if p])
+            sign, c = "-" if c < 0 else "+", abs(c)
+            words.append(f"{sign} {c!s}*{mono}" if mono and c != 1
+                         else f"{sign} {mono or c!s}")
+        text = " ".join(words) or "0"
+        return text[2:] if text[0] == "+" else text
 
     def __repr__(self):
         return "MultiLaurent(n=%d, %s)" % (self.n, self)

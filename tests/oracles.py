@@ -5,14 +5,16 @@ of definitions (box geometry, dominance, the Rui-Si order, wheel
 membership, the Newton identities through the inverse series,
 the reduction of a content-value multiset to its signature,
 multiplicativity of W, block classification over every pair of Lambda_n,
-the idempotents' interpolation product and their orthogonality) that the
-tests hold the library's fast paths against.
+the idempotents' interpolation product and their orthogonality, the order
+search of evaluation matrices on exact rows) that the tests hold the
+library's fast paths against.
 """
 
 import operator
 from collections import Counter
 from itertools import combinations
 
+from bmwcenter import center
 from bmwcenter.blocks import BlockReport, block_equivalent
 from bmwcenter.center import _eliminate, _specialize, separation_classes
 from bmwcenter.contentfn import WheelSignature, signature
@@ -359,8 +361,31 @@ def exact_probe(matrix):
     return len(_eliminate(_specialize(matrix), operator.floordiv, abs))
 
 
+def adaptive_loop(n, r, shapes=None, order=None):
+    """The final (matrix, probe, K) of center.adaptive_matrix as it was
+    found before the probe came from content values: the exact matrix is
+    built at every K and probed mod p, and exactly only below full rank.
+    adaptive_matrix returns (matrix, matrix_rank(matrix, probe), K)."""
+    level = enumerate_lambda(n)
+    cap = 4 * len(level)
+    shapes = level if shapes is None else shapes
+    K = max(n, 1) if order is None else order
+    prev_probe = -1
+    while True:
+        matrix = center._build_matrix(n, r, K, shapes)
+        probe = center._modular_rank(matrix)
+        if probe < len(shapes) and order is None and K < cap:
+            probe = center._specialized_rank(matrix, probe)
+        if (order is not None or probe == len(shapes) or probe == prev_probe
+                or K >= cap):
+            return matrix, probe, K
+        prev_probe = probe
+        K = min(2 * K, cap)
+
+
 def format_oracle(p, names):
-    """The term-by-term printer that LaurentQT._format replaced."""
+    """The term-by-term printer that LaurentQT.__str__ and
+    MultiLaurent.__str__ replaced."""
     if not p.terms:
         return "0"
     bits = []

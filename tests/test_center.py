@@ -1,5 +1,6 @@
 """Separation classes, exact rank computations and separating families."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from bmwcenter.errors import ResourceLimit, ZeroDenominator
 from bmwcenter.blocks import is_semisimple
 from bmwcenter.scalars import GENERIC, LaurentQT, power_regime
 from bmwcenter.tableaux import enumerate_lambda
-from oracles import exact_probe, map_exponents
+from oracles import adaptive_loop, exact_probe, map_exponents
 
 
 def random_poly(rng, nterms=3, span=3):
@@ -386,6 +387,68 @@ def test_specialized_rank_is_the_exact_probe_on_evaluation_matrices():
         for K in (n, 2 * n):
             matrix = adaptive_matrix(n, r, order=K)[0]
             assert center._modular_rank(matrix) <= exact_probe(matrix) == probe(matrix)
+
+
+def regime_grid(n):
+    """Generic and t = +-q^N for |N| <= 2n + 3."""
+    return [GENERIC] + [power_regime(s, N) for s in (1, -1)
+                        for N in range(-2 * n - 3, 2 * n + 4)]
+
+
+class PowersModP(dict):
+    """(i, j) -> q^i t^j mod p at the first evaluation point, filled lazily."""
+
+    def __missing__(self, e):
+        P = center._P
+        q, t = (x.numerator * pow(x.denominator, -1, P) % P for x in center._POINTS[0])
+        x = self[e] = pow(q, e[0], P) * pow(t, e[1], P) % P
+        return x
+
+
+def values_mod_p(matrix, powers):
+    """Each entry at the first evaluation point mod p, term by term."""
+    return [[sum(map(operator.mul, p.terms.values(), map(powers.__getitem__, p.terms)))
+             % center._P for p in row] for row in matrix]
+
+
+def rows_up_to(matrix, K):
+    """The rows e_n^j w_k with k <= K of an evaluation matrix of higher order."""
+    top = len(matrix) // 3
+    return [row for i, row in enumerate(matrix) if i % top <= K]
+
+
+def test_probe_rows_and_order_match_the_exact_matrices(monkeypatch):
+    # the rows mod p are the exact matrix at the point, term by term, and
+    # the order search on them ends where the search on exact rows ended
+    build, built = center._build_matrix, {}
+
+    def memo_build(n, r, K, shapes):
+        # each case's exact matrix is built once, at the highest order asked
+        # for; w_k does not depend on K, so a lower order is a row subset
+        top = max(built, default=-1)
+        if K > top:
+            built[K] = build(n, r, K, shapes)
+            return built[K]
+        return rows_up_to(built[top], K)
+
+    monkeypatch.setattr(center, "_build_matrix", memo_build)
+    # both hand (matrix, probe) to matrix_rank, so equal pairs give equal ranks
+    monkeypatch.setattr(center, "matrix_rank", lambda matrix, probe=None: probe)
+    cases = [(n, r) for n in range(1, 6) for r in regime_grid(n)]
+    cases += [(6, GENERIC), (6, power_regime(1, 2)), (6, power_regime(-1, -3))]
+    powers = PowersModP()
+    for n, r in cases:
+        built.clear()
+        shapes = enumerate_lambda(n)
+        if n <= 5:
+            exact = values_mod_p(memo_build(n, r, 2 * n, shapes), powers)
+            assert center._modular_rows(n, r, 2 * n, shapes) == exact, (n, r)
+            assert center._modular_rows(n, r, n, shapes) == rows_up_to(exact, n), (n, r)
+        assert adaptive_matrix(n, r) == adaptive_loop(n, r), (n, r)
+    # the row subsets are the matrices of the lower order
+    for n, r in ((4, GENERIC), (5, power_regime(-1, 3))):
+        shapes = enumerate_lambda(n)
+        assert rows_up_to(build(n, r, 2 * n, shapes), n) == build(n, r, n, shapes)
 
 
 @pytest.mark.parametrize("n, r, K, rank", [

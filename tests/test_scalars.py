@@ -129,6 +129,13 @@ def test_printer_matches_the_term_by_term_oracle():
     for _ in range(300):
         n = rng.choice((1, 2, 2, 3, 4, 5))
         cases.append(random_laurent(rng, n, rng.randint(1, 6)))
+    # every (q, t) branch: q only, t only, both and the constant, each with
+    # coefficients 1, -1, 7 and -3/4, alone and after a lower term
+    for e in ((2, 0), (0, -3), (-1, 4), (0, 0)):
+        for c in (1, -1, 7, Fraction(-3, 4)):
+            cases += [LaurentQT({e: c}), LaurentQT({(-5, -5): 1, e: c})]
+    assert (str(LaurentQT({(2, 0): 7, (0, -3): Fraction(-3, 4), (-1, 4): -1, (0, 0): 1}))
+            == "- q^-1*t^4 - 3/4*t^-3 + 1 + 7*q^2")
     seen = set()
     for p in cases:
         names = (("q", "t") if type(p) is LaurentQT
@@ -158,6 +165,76 @@ def test_monomial_products_match_the_dense_product():
                 assert got.terms is not a.terms and got.terms is not b.terms
                 got.terms[(9,) * n] = 1
                 assert all(p.terms == terms for p, terms in before)
+
+
+def test_products_match_the_dense_product():
+    rng = random.Random(5)
+    one, q, t = LaurentQT.const(1), LaurentQT.monomial(1), LaurentQT.monomial(0, 1)
+    x1, x2 = MultiLaurent.variable(2, 0), MultiLaurent.variable(2, 1)
+    xone = MultiLaurent.const(2, 1)
+    # products whose middle terms cancel: 1 + q^3, q^2 - t^2, x1^2 - x2^2
+    pairs = [(one + q, one - q + LaurentQT.monomial(2)), (q + t, q - t),
+             (x1 - x2, x1 + x2), (xone + x1, xone - x1 + MultiLaurent.variable(2, 0, 2))]
+    for _ in range(200):
+        n = rng.choice((1, 2, 2, 3, 5))
+        pairs.append((random_laurent(rng, n, rng.randint(0, 6)),
+                      random_laurent(rng, n, rng.randint(2, 6))))
+    for a, b in pairs:
+        before = [(p, dict(p.terms)) for p in (a, b)]
+        got = a * b
+        assert type(got) is type(a)
+        assert got == dense_product(a, b) == b * a
+        assert 0 not in got.terms.values()
+        assert got.terms is not a.terms and got.terms is not b.terms
+        assert all(p.terms == terms for p, terms in before)
+    assert [len((a * b).terms) for a, b in pairs[:4]] == [2, 2, 2, 2]
+
+
+def test_integral_fractions_print_compare_and_hash_as_ints():
+    # a scalar factor is normalised once, so an integral Fraction leaves ints
+    p = LaurentQT.const(3) * Fraction(2, 1)
+    assert p.terms == {(0, 0): 6} and coefficient_types(p) == {int}
+    assert coefficient_types(Fraction(4, 2) * LaurentQT.monomial(1, 1, 5)) == {int}
+    # a product of Fractions may keep an integral Fraction, which acts as its int
+    p = LaurentQT.monomial(1, 0, Fraction(1, 2)) * LaurentQT.monomial(0, 1, 2)
+    want = LaurentQT.monomial(1, 1)
+    assert p == want and hash(p) == hash(want) and str(p) == str(want) == "q^1*t^1"
+    assert {p, want} == {want}
+
+
+def dense_series_product(a, b):
+    """Truncated product of two coefficient lists through dense_product only."""
+    K = min(len(a), len(b)) - 1
+    out = [type(a[0])() for _ in range(K + 1)]
+    for i in range(K + 1):
+        for j in range(K + 1 - i):
+            out[i + j] = out[i + j] + dense_product(a[i], b[j])
+    return out
+
+
+def dense_wheel_series(monomials, one, K):
+    """prod (1 - m^-1 T) * sum_k m^k T^k over the monomials, truncated at T^K."""
+    zero = type(one)()
+    out = [one] + [zero] * K
+    for m in monomials:
+        out = dense_series_product(out, [one, -m.pow(-1)] + [zero] * K)
+        out = dense_series_product(out, [m.pow(k) for k in range(K + 1)])
+    return out
+
+
+def test_wheel_series_matches_the_dense_series_product():
+    for one, exps in ((LaurentQT.const(1), ((1, 0), (-2, 1), (0, -1))),
+                      (MultiLaurent.const(3, 1), ((1, 0, 0), (0, -1, 2), (1, 1, -1)))):
+        a, b, c = (type(one)({e: k}) for e, k in zip(exps, (2, -3, Fraction(1, 2))))
+        # repeated and mutually inverse monomials, so that keys get deleted
+        for monomials in ([a], [a, a], [a, a.pow(-1)], [c, c, c.pow(-1), b],
+                          [a, b, c, b.pow(-1), a, c.pow(-1)]):
+            for K in (0, 1, 4, 6):
+                got = wheel_series(monomials, one, K)
+                assert got == dense_wheel_series(monomials, one, K), (monomials, K)
+                assert all(0 not in p.terms.values() for p in got)
+        series = wheel_series([a, b, a.pow(-1), b.pow(-1)], one, 5)
+        assert series == [one] + [type(one)()] * 5
 
 
 def series_product(a, b):
