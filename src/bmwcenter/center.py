@@ -3,7 +3,10 @@
 Provides the signature class decomposition, the closed-form classification
 predicate for when the wheel evaluations separate all of Lambda_n, exact
 evaluation matrices of the elementary wheel family with fraction-free rank,
-and constructive unitriangular separating families.
+and constructive unitriangular separating families.  Evaluation is a ring
+map, so every evaluation at a point (the ranks that fix the order K, and
+the choice of independent rows) runs the W series on the content values
+there, mod p or as scaled integers; the exact matrix is built once.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from math import gcd, isqrt, lcm, prod
 
 from .contentfn import drunk_content_values, signature
 from .errors import ResourceLimit, ZeroDenominator
-from .scalars import LaurentQT, Regime, exact_ratio, expand_W_series
+from .scalars import LaurentQT, Regime, _add_shifted, exact_ratio, expand_W_series
 from .tableaux import enumerate_lambda
 
 
@@ -97,13 +100,7 @@ def divexact(a: LaurentQT, b: LaurentQT):
             return None
         coeff = exact_ratio(ra[la], cb)
         quot[(da, db)] = coeff
-        for e, c in rb.items():
-            k = (e[0] + da, e[1] + db)
-            w = ra.get(k, 0) - coeff * c
-            if w:
-                ra[k] = w
-            else:
-                ra.pop(k, None)
+        _add_shifted(ra, rb, (da, db), -coeff)
     return LaurentQT({(x + qa - qb, y + ta - tb): c for (x, y), c in quot.items()})
 
 
@@ -286,74 +283,20 @@ _POINTS = ((Fraction(17, 5), Fraction(23, 7)),
            (Fraction(29, 11), Fraction(31, 13)),
            (Fraction(41, 3), Fraction(43, 19)))
 _P = (1 << 61) - 1  # the Mersenne prime of the rank probe
-_QT = [v.numerator * pow(v.denominator, -1, _P) % _P for v in _POINTS[0]]  # q, t mod _P
-
-
-def _specialize(matrix, point=_POINTS[0]):
-    """Rows of matrix at q, t = point, each scaled to integers.
-
-    With q = a/b and t = c/d, a row whose q and t exponents lie in [q0, q1]
-    and [t0, t1] is scaled by a^-q0 b^q1 c^-t0 d^t1 and by the lcm D of its
-    coefficient denominators, so the term x q^i t^j becomes the integer
-    x D a^(i-q0) b^(q1-i) c^(j-t0) d^(t1-j).  Scaling a row by a nonzero
-    constant changes neither the rank nor which rows are independent.
-    """
-    (a, b), (c, d) = ((v.numerator, v.denominator) for v in point)
-    rows = []
-    for row in matrix:
-        qs = {i for p in row for i, _ in p.terms} or {0}
-        ts = {j for p in row for _, j in p.terms} or {0}
-        q0, q1, t0, t1 = min(qs), max(qs), min(ts), max(ts)
-        qpow = {i: a ** (i - q0) * b ** (q1 - i) for i in qs}
-        tpow = {j: c ** (j - t0) * d ** (t1 - j) for j in ts}
-        scale = lcm(*(x.denominator for p in row for x in p.terms.values()))
-        rows.append([sum(x.numerator * (scale // x.denominator) * qpow[i] * tpow[j]
-                         for (i, j), x in p.terms.items()) for p in row])
-    return rows
 
 
 def _rank_mod_p(rows):  # reduced at every step, so no multiple of _P pivots
     return len(_eliminate(rows, lambda v, _: v % _P, abs, 1))
 
 
-def _modular_rank(matrix):
-    """Rank of matrix at the first evaluation point, mod _P.
-
-    Every minor of the reduced matrix reduces a minor at the point, so this
-    is a lower bound on the rank there (0 when a denominator vanishes mod _P).
-    """
-    q, t = _QT
-    power = {(i, j): pow(q, i, _P) * pow(t, j, _P) % _P
-             for i, j in {e for row in matrix for p in row for e in p.terms}}
-    try:  # each value is an int, or a Fraction where a coefficient is one
-        rows = [[(v := sum(c * power[e] for e, c in p.terms.items())).numerator
-                 * pow(v.denominator, -1, _P) % _P for p in row] for row in matrix]
-    except ValueError:
-        return 0
-    return _rank_mod_p(rows)
-
-
-def _specialized_rank(matrix, bound):
-    """Rank at the first evaluation point, given ``bound``, the rank mod p.
-
-    Equal columns add nothing to a rank, so a bound that reaches the number
-    of distinct columns is the rank; otherwise the integer rows are eliminated.
-    """
-    if bound == len(set(zip(*matrix))):
-        return bound
-    return len(_eliminate(_specialize(matrix), operator.floordiv, abs))
-
-
-def matrix_rank(matrix, probe=None):
+def matrix_rank(matrix, probe):
     """Exact rank over the fraction field of LaurentQT.
 
-    A rank at the point (17/5, 23/7), mod 2^61 - 1 or exact, bounds it from
-    below and so certifies full column rank; otherwise fall back to exact
-    elimination.  ``probe`` is that rank, if known; by default the one mod p.
+    ``probe`` is a lower bound on it, such as a rank at a point: one that
+    reaches the column count certifies full column rank; otherwise fall
+    back to exact elimination.
     """
     ncols = len(matrix[0]) if matrix else 0
-    if probe is None:
-        probe = _modular_rank(matrix)
     if probe == ncols:
         return ncols
     return bareiss_rank(matrix)
@@ -368,41 +311,93 @@ def matrix_row_labels(K):
     return [(j, k) for j in (0, 1, -1) for k in range(K + 1)]
 
 
-def _build_matrix(n, r, K, shapes):
+def _exponents(v):
+    """A content value as (sign, x, y), meaning sign * t^x * q^y."""
+    return (v.a, 0, v.b) if v.kind == "power" else (1, v.a, v.b)
+
+
+def _product(values):
+    """e_n, the product of the content values, as (sign, x, y)."""
+    sign, x, y = 1, 0, 0
+    for v in values:
+        s, i, j = _exponents(v)
+        sign, x, y = sign * s, x + i, y + j
+    return sign, x, y
+
+
+def _build_matrix(values, K):
     # linear combinations of w_k alone can be rank deficient (first at
     # n = 5), so rows also cover the products e_n^{+-1} w_k
     columns = []
-    for lp in shapes:
-        values = drunk_content_values(n, lp.shape, r)
-        w = expand_W_series(values, K)
-        e = LaurentQT.const(1)
-        for v in values:
-            e = e * v.monomial()
+    for vs in values:
+        w = expand_W_series(vs, K)
+        sign, x, y = _product(vs)
+        e = LaurentQT.monomial(y, x, sign)
         einv = e.monomial_inverse()
         columns.append(w + [e * c for c in w] + [einv * c for c in w])
     return [[col[k] for col in columns] for k in range(3 * (K + 1))]
 
 
-def _modular_rows(n, r, K, shapes):
-    """_build_matrix(n, r, K, shapes) mod _P at the first evaluation point,
-    from the content values: evaluation is a ring map, so the W series and
-    e_n^{+-1} are formed on the values as on their monomials."""
-    q, t = _QT
+def _point_rows(values, K, point=_POINTS[0], p=None):
+    """The rows of _build_matrix(values, K) at q, t = point: mod p when p
+    is given, otherwise as integers, each row scaled by a nonzero constant.
+
+    Evaluation is a ring map, so the W series and e_n^{+-1} are formed on the
+    values at the point as on their monomials.  For integers, with q = a/b
+    and t = c/d, T becomes lam T with lam = (ab)^B (cd)^A, B and A the
+    largest |q| and |t| exponents of the values: that scales row (j, k) by
+    lam^k and makes lam m and lam / m integers for every value m.  The
+    e_n^{+-1} blocks are scaled by the lcm of their denominators, and each
+    row is divided by the gcd of its entries.  Scaling rows changes neither
+    the rank nor which rows are independent.
+    """
+    distinct = {v for vs in values for v in vs}
+    steps = {}  # per value m, the recurrence's m and -1/m (lam m and -lam/m for ints)
+    if p:
+        q, t = (x.numerator * pow(x.denominator, -1, p) % p for x in point)
+
+        def at(sign, x, y):  # sign * t^x * q^y at the point, mod p
+            return sign * pow(t, x, p) * pow(q, y, p) % p
+
+        for v in distinct:
+            m = at(*_exponents(v))
+            steps[v] = m, -pow(m, -1, p)
+        factors = [(e, pow(e, -1, p)) for e in (at(*_product(vs)) for vs in values)]
+    else:
+        (a, b), (c, d) = ((x.numerator, x.denominator) for x in point)
+        B = max((abs(v.b) for v in distinct), default=0)
+        A = max((abs(v.a) for v in distinct if v.kind == "generic"), default=0)
+
+        def scaled(sign, x, y):  # lam * sign * t^x * q^y
+            return sign * c ** (A + x) * d ** (A - x) * a ** (B + y) * b ** (B - y)
+
+        for v in distinct:
+            sign, x, y = _exponents(v)
+            steps[v] = scaled(sign, x, y), -scaled(sign, -x, -y)
+        q, t = point
+        es = [sign * t ** x * q ** y for sign, x, y in map(_product, values)]
+        E, Einv = lcm(*(e.denominator for e in es)), lcm(*(e.numerator for e in es))
+        factors = [(int(e * E), int(Einv / e)) for e in es]
     columns = []
-    for lp in shapes:
-        w, e = [1] + [0] * K, 1
-        for v in drunk_content_values(n, lp.shape, r):
-            m = (v.a * pow(q, v.b, _P) if v.kind == "power"  # +-q^b or t^a q^b
-                 else pow(t, v.a, _P) * pow(q, v.b, _P)) % _P
-            neg = -pow(m, -1, _P)
-            for k in range(K, 0, -1):
-                w[k] = (w[k] + neg * w[k - 1]) % _P
-            for k in range(1, K + 1):
-                w[k] = (w[k] + m * w[k - 1]) % _P
-            e = e * m % _P
-        einv = pow(e, -1, _P)
-        columns.append(w + [e * x % _P for x in w] + [einv * x % _P for x in w])
-    return [list(row) for row in zip(*columns)]
+    for vs, (fe, fi) in zip(values, factors):
+        w = [1] + [0] * K
+        for v in vs:  # times (1 - m^-1 T), then over (1 - m T)
+            up, down = steps[v]
+            if p:
+                for k in range(K, 0, -1):
+                    w[k] = (w[k] + down * w[k - 1]) % p
+                for k in range(1, K + 1):
+                    w[k] = (w[k] + up * w[k - 1]) % p
+            else:
+                for k in range(K, 0, -1):
+                    w[k] += down * w[k - 1]
+                for k in range(1, K + 1):
+                    w[k] += up * w[k - 1]
+        columns.append(w + [fe * x for x in w] + [fi * x for x in w])
+    if p:
+        return [[x % p for x in row] for row in zip(*columns)]
+    return [[x // g for x in row] if (g := gcd(*row)) > 1 else list(row)
+            for row in zip(*columns)]
 
 
 def adaptive_matrix(n, r: Regime, shapes=None, order=None):
@@ -411,12 +406,13 @@ def adaptive_matrix(n, r: Regime, shapes=None, order=None):
     Rows follow matrix_row_labels(K); the w_k values are read off as T^k
     coefficients of the expanded W series and e_n is the product of the
     drunk contents.  ``shapes`` defaults to Lambda_n.  K is ``order`` when
-    given; otherwise K grows until the rank stabilizes or hits the column
-    count, tracking the rank at the first evaluation point.  That rank is
-    probed mod p on rows computed from the content values; the exact
-    matrix is built only where the probe stays below the column count (for
-    the exact probe) and for the final K, whose exact rank is computed
-    once.  Returns (matrix, rank, K).
+    given; otherwise K grows until the rank at the first evaluation point
+    stabilizes or hits the column count.  Each shape's content values are
+    derived once, and every rank at the point comes from them: mod p first,
+    and from the integer rows where that stays below both the column count
+    and the number of distinct (signature, e_n) pairs, which bounds the
+    rank (equal pairs give equal columns).  The exact matrix is built once,
+    at the final K, and its rank computed once.  Returns (matrix, rank, K).
     """
     level = enumerate_lambda(n)
     cap = 4 * len(level)
@@ -425,17 +421,21 @@ def adaptive_matrix(n, r: Regime, shapes=None, order=None):
     K = max(n, 1) if order is None else order
     if K > cap:
         raise ResourceLimit("order %d exceeds cap %d at level %d" % (K, cap, n))
+    values = [drunk_content_values(n, lp.shape, r) for lp in shapes]
+    distinct = None
     prev_probe = -1
     while True:
-        # the probe fixes K, which is printed: mod p, exact only below full rank
-        probe = _rank_mod_p(_modular_rows(n, r, K, shapes))
-        matrix = None
+        # the probe fixes K, which is printed: mod p, exact only below both bounds
+        probe = _rank_mod_p(_point_rows(values, K, p=_P))
         if probe < len(shapes) and order is None and K < cap:
-            matrix = _build_matrix(n, r, K, shapes)
-            probe = _specialized_rank(matrix, probe)
+            if distinct is None:
+                distinct = len({(signature(n, lp.shape, r), _product(vs))
+                                for lp, vs in zip(shapes, values)})
+            if probe < distinct:
+                probe = len(_eliminate(_point_rows(values, K), operator.floordiv, abs))
         if (order is not None or probe == len(shapes) or probe == prev_probe
                 or K >= cap):
-            matrix = matrix or _build_matrix(n, r, K, shapes)
+            matrix = _build_matrix(values, K)
             return matrix, matrix_rank(matrix, probe), K
         prev_probe = probe
         K = min(2 * K, cap)
@@ -485,7 +485,8 @@ def separating_family(n, r: Regime):
     matrix, rank, K = adaptive_matrix(n, r, reps)
     if rank < len(reps):
         raise ResourceLimit("rank %d below %d classes at cap order" % (rank, len(reps)))
-    rows = _independent_rows(matrix, len(reps))
+    values = [drunk_content_values(n, lp.shape, r) for lp in reps]
+    rows = _independent_rows(lambda point: _point_rows(values, K, point), len(reps))
     m = len(reps)
     # fraction-free forward elimination on [A | I]; fractions appear only
     # in the final scaling by the row pivot
@@ -507,15 +508,16 @@ def separating_family(n, r: Regime):
     return reps, family, K
 
 
-def _independent_rows(matrix, m):
-    """Indices of the first m independent rows of matrix.
+def _independent_rows(rows_at, m):
+    """Indices of the first m independent rows of a matrix.
 
-    These are the lexicographically first basis, selected on rational
-    specializations tried in turn; an invertible specialized submatrix
-    certifies symbolic invertibility.
+    ``rows_at(point)`` gives the matrix's rows at q, t = point as integers,
+    each row scaled by a nonzero constant.  These are the lexicographically
+    first basis, selected at the evaluation points tried in turn; an
+    invertible specialized submatrix certifies symbolic invertibility.
     """
     for point in _POINTS:
-        cols = [list(col) for col in zip(*_specialize(matrix, point))]
+        cols = [list(col) for col in zip(*rows_at(point))]
         chosen = _eliminate(cols, operator.floordiv, abs)
         if len(chosen) >= m:
             return chosen[:m]

@@ -262,7 +262,7 @@ def cmd_verify_blocks(args):
 
 
 def cmd_idempotent(args):
-    diag = idem_mod.spectral_idempotent(args.n, args.shape, args.regime)
+    diag = idem_mod.spectral_idempotent(args.n, args.shape)
     sel = diag.selected()
     ok = (len(sel) == 1 and sel[0] == tableaux.drunk_path(args.n, args.shape))
     if args.format == "json":
@@ -363,7 +363,7 @@ COMMANDS = {
 }
 
 NEEDS_SHAPE = {"paths", "contents", "signature", "pairs", "idempotent"}
-READS_REGIME = set(COMMANDS) - {"lambda", "paths", "wheel"}
+READS_REGIME = set(COMMANDS) - {"lambda", "paths", "wheel", "idempotent"}
 # the commands that read --order, with its default (None: chosen adaptively)
 ORDERED = {"wheel": 4, "matrix": None}
 

@@ -10,9 +10,7 @@ nonzero entry.  The product itself is evaluated only by the test oracle.
 
 from __future__ import annotations
 
-from .errors import RegimeMismatch
 from .partitions import Partition
-from .scalars import GENERIC, Regime
 from .tableaux import drunk_path, path_counts
 
 
@@ -30,12 +28,10 @@ class SpectralDiagonal:
         return [t for t, v in self.values.items() if v == 1]
 
 
-def spectral_idempotent(n, lam: Partition, r: Regime = GENERIC) -> SpectralDiagonal:
+def spectral_idempotent(n, lam: Partition) -> SpectralDiagonal:
     """Diagonal of e_{lam,n}: value 1 on the drunk path, 0 on every other.
 
     Raises ``ResourceLimit`` if level n has more than ``MAX_PATHS`` paths.
     """
-    if not r.is_generic:
-        raise RegimeMismatch("idempotent evaluation is generic-regime only")
     path_counts(n)  # refuses a level above MAX_PATHS
     return SpectralDiagonal(n, lam, {drunk_path(n, lam): 1})

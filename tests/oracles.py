@@ -5,19 +5,21 @@ of definitions (box geometry, dominance, the Rui-Si order, wheel
 membership, the Newton identities through the inverse series,
 the reduction of a content-value multiset to its signature,
 multiplicativity of W, block classification over every pair of Lambda_n,
-the idempotents' interpolation product and their orthogonality, the order
-search of evaluation matrices on exact rows) that the tests hold the
-library's fast paths against.
+the idempotents' interpolation product and their orthogonality, LaurentQT
+matrices at a point, as integers or mod p, and the order search of
+evaluation matrices on exact rows) that the tests hold the library's fast
+paths against.
 """
 
 import operator
 from collections import Counter
 from itertools import combinations
+from math import lcm
 
 from bmwcenter import center
 from bmwcenter.blocks import BlockReport, block_equivalent
-from bmwcenter.center import _eliminate, _specialize, separation_classes
-from bmwcenter.contentfn import WheelSignature, signature
+from bmwcenter.center import _POINTS, _P, _eliminate, _rank_mod_p, separation_classes
+from bmwcenter.contentfn import WheelSignature, drunk_content_values, signature
 from bmwcenter.errors import RegimeMismatch
 from bmwcenter.idempotents import spectral_idempotent
 from bmwcenter.partitions import EMPTY, Partition, skew_datum
@@ -328,9 +330,9 @@ def oracle_values(n, lam):
     return values
 
 
-def orthogonality_check(n, r=GENERIC):
+def orthogonality_check(n):
     """Each diagonal selects one path and distinct diagonals never overlap."""
-    diagonals = [spectral_idempotent(n, lp.shape, r) for lp in enumerate_lambda(n)]
+    diagonals = [spectral_idempotent(n, lp.shape) for lp in enumerate_lambda(n)]
     drunk_set = set()
     for d in diagonals:
         sel = d.selected()
@@ -355,10 +357,57 @@ def orthogonality_check(n, r=GENERIC):
 # ranks, printing and products
 
 
+def specialize(matrix, point=_POINTS[0]):
+    """Rows of a LaurentQT matrix at q, t = point, each scaled to integers.
+
+    With q = a/b and t = c/d, a row whose q and t exponents lie in [q0, q1]
+    and [t0, t1] is scaled by a^-q0 b^q1 c^-t0 d^t1 and by the lcm D of its
+    coefficient denominators, so the term x q^i t^j becomes the integer
+    x D a^(i-q0) b^(q1-i) c^(j-t0) d^(t1-j).
+    """
+    (a, b), (c, d) = ((v.numerator, v.denominator) for v in point)
+    rows = []
+    for row in matrix:
+        qs = {i for p in row for i, _ in p.terms} or {0}
+        ts = {j for p in row for _, j in p.terms} or {0}
+        q0, q1, t0, t1 = min(qs), max(qs), min(ts), max(ts)
+        qpow = {i: a ** (i - q0) * b ** (q1 - i) for i in qs}
+        tpow = {j: c ** (j - t0) * d ** (t1 - j) for j in ts}
+        scale = lcm(*(x.denominator for p in row for x in p.terms.values()))
+        rows.append([sum(x.numerator * (scale // x.denominator) * qpow[i] * tpow[j]
+                         for (i, j), x in p.terms.items()) for p in row])
+    return rows
+
+
+def modular_rank(matrix):
+    """Rank of a LaurentQT matrix at the first evaluation point, mod p.
+
+    Every minor of the reduced matrix reduces a minor at the point, so this
+    is a lower bound on the rank there (0 when a denominator vanishes mod p).
+    """
+    q, t = (v.numerator * pow(v.denominator, -1, _P) % _P for v in _POINTS[0])
+    power = {(i, j): pow(q, i, _P) * pow(t, j, _P) % _P
+             for i, j in {e for row in matrix for p in row for e in p.terms}}
+    try:  # each value is an int, or a Fraction where a coefficient is one
+        rows = [[(v := sum(c * power[e] for e, c in p.terms.items())).numerator
+                 * pow(v.denominator, -1, _P) % _P for p in row] for row in matrix]
+    except ValueError:
+        return 0
+    return _rank_mod_p(rows)
+
+
 def exact_probe(matrix):
     """The rank at the first evaluation point as it was computed before the
     rank mod p: the integer rows, eliminated exactly."""
-    return len(_eliminate(_specialize(matrix), operator.floordiv, abs))
+    return len(_eliminate(specialize(matrix), operator.floordiv, abs))
+
+
+def probe(matrix):
+    """The rank at the first evaluation point as it was certified on the
+    exact matrix: the rank mod p where it reaches the distinct columns
+    (equal columns add nothing to a rank), else the exact probe."""
+    bound = modular_rank(matrix)
+    return bound if bound == len(set(zip(*matrix))) else exact_probe(matrix)
 
 
 def adaptive_loop(n, r, shapes=None, order=None):
@@ -369,17 +418,19 @@ def adaptive_loop(n, r, shapes=None, order=None):
     level = enumerate_lambda(n)
     cap = 4 * len(level)
     shapes = level if shapes is None else shapes
+    values = [drunk_content_values(n, lp.shape, r) for lp in shapes]
     K = max(n, 1) if order is None else order
     prev_probe = -1
     while True:
-        matrix = center._build_matrix(n, r, K, shapes)
-        probe = center._modular_rank(matrix)
-        if probe < len(shapes) and order is None and K < cap:
-            probe = center._specialized_rank(matrix, probe)
-        if (order is not None or probe == len(shapes) or probe == prev_probe
+        matrix = center._build_matrix(values, K)
+        rank = modular_rank(matrix)
+        if (rank < len(shapes) and order is None and K < cap
+                and rank < len(set(zip(*matrix)))):
+            rank = exact_probe(matrix)
+        if (order is not None or rank == len(shapes) or rank == prev_probe
                 or K >= cap):
-            return matrix, probe, K
-        prev_probe = probe
+            return matrix, rank, K
+        prev_probe = rank
         K = min(2 * K, cap)
 
 

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,12 @@ from bmwcenter.center import (LaurentFrac, adaptive_matrix, bareiss_rank,
                               separation_classes, theorem1_predicate)
 from bmwcenter.errors import ResourceLimit, ZeroDenominator
 from bmwcenter.blocks import is_semisimple
+from bmwcenter.contentfn import drunk_content_values, signature
 from bmwcenter.scalars import GENERIC, LaurentQT, power_regime
 from bmwcenter.tableaux import enumerate_lambda
-from oracles import adaptive_loop, exact_probe, map_exponents
+import oracles
+from oracles import (adaptive_loop, exact_probe, map_exponents, modular_rank, probe,
+                     specialize)
 
 
 def random_poly(rng, nterms=3, span=3):
@@ -202,7 +206,7 @@ def test_elimination_skips_a_column_without_pivot():
     assert dict_eliminate(m)[0] == [0, 2]
     assert packed_echelon(m)[0] == [0, 2]
     assert bareiss_rank(m) == 2
-    assert matrix_rank(m) == 2
+    assert matrix_rank(m, modular_rank(m)) == 2
 
 
 def test_elimination_pivots_on_the_sparsest_entry_first_on_ties():
@@ -295,13 +299,21 @@ def greedy_rows_oracle(matrix, m):
     return None
 
 
+def rows_of(matrix):
+    """The integer rows of a LaurentQT matrix at each point, by the oracle."""
+    return lambda point: specialize(matrix, point)
+
+
 def test_independent_rows_match_greedy_selection():
     for n, r in ((3, GENERIC), (4, GENERIC), (3, power_regime(-1, 1)),
                  (4, power_regime(1, 2)), (4, power_regime(1, 0))):
         reps = [c[0] for c in separation_classes(n, r).classes]
-        matrix, _, _ = adaptive_matrix(n, r, reps)
-        assert center._independent_rows(matrix, len(reps)) == \
-            greedy_rows_oracle(matrix, len(reps))
+        matrix, _, K = adaptive_matrix(n, r, reps)
+        values = [drunk_content_values(n, lp.shape, r) for lp in reps]
+        want = greedy_rows_oracle(matrix, len(reps))
+        assert center._independent_rows(
+            lambda point: center._point_rows(values, K, point), len(reps)) == want
+        assert center._independent_rows(rows_of(matrix), len(reps)) == want
     rng = random.Random(31)
     for _ in range(10):
         cols = rng.randint(1, 4)
@@ -311,7 +323,7 @@ def test_independent_rows_match_greedy_selection():
         rng.shuffle(m)
         expected = greedy_rows_oracle(m, cols)
         if expected is not None:
-            assert center._independent_rows(m, cols) == expected
+            assert center._independent_rows(rows_of(m), cols) == expected
 
 
 def test_specialized_rows_are_proportional_to_fraction_values():
@@ -325,7 +337,7 @@ def test_specialized_rows_are_proportional_to_fraction_values():
     matrices.append([[LaurentQT(), LaurentQT.const(2)], [LaurentQT(), LaurentQT()]])
     for matrix in matrices:
         for point in center._POINTS:
-            spec = center._specialize(matrix, point)
+            spec = specialize(matrix, point)
             for got, exact in zip(spec, fraction_rows(matrix, *point)):
                 assert all(type(v) is int for v in got)
                 lead = next((j for j, v in enumerate(exact) if v), None)
@@ -336,10 +348,6 @@ def test_specialized_rows_are_proportional_to_fraction_values():
                 assert ratio and got == [ratio * v for v in exact]
 
 
-def probe(matrix):
-    return center._specialized_rank(matrix, center._modular_rank(matrix))
-
-
 def counted_specialize(monkeypatch):
     calls = []
 
@@ -347,8 +355,7 @@ def counted_specialize(monkeypatch):
         calls.append(len(matrix))
         return specialize(matrix, *point)
 
-    specialize = center._specialize
-    monkeypatch.setattr(center, "_specialize", counted)
+    monkeypatch.setattr(oracles, "specialize", counted)
     return calls
 
 
@@ -362,6 +369,27 @@ def test_probe_eliminates_exactly_only_below_the_distinct_columns(monkeypatch):
     # three distinct columns of rank 1: the integer rows decide
     assert probe([[one, q, one + q], [q, q * q, q + q * q]]) == 1
     assert calls == [2]
+    # the order search counts distinct (signature, e_n) pairs instead:
+    # (4, -q^1) has 5 among 8 columns, and the rank mod p reaches them at
+    # both orders searched, so no integer rows are built
+    point_rows, exact = center._point_rows, []
+
+    def counted(values, K, point=center._POINTS[0], p=None):
+        if p is None:
+            exact.append(K)
+        return point_rows(values, K, point, p)
+
+    monkeypatch.setattr(center, "_point_rows", counted)
+    monkeypatch.setattr(center, "matrix_rank", lambda matrix, probe: probe)
+    assert adaptive_matrix(4, power_regime(-1, 1))[1:] == (5, 8) and exact == []
+    # a probe mod p of 0 is still a lower bound: the integer rows then give
+    # every rank at the point, and the search ends as before
+    cases = [(3, GENERIC), (4, power_regime(-1, 1)), (4, power_regime(1, 0)),
+             (5, power_regime(1, 2))]
+    want = [adaptive_matrix(n, r) for n, r in cases]
+    monkeypatch.setattr(center, "_rank_mod_p", lambda rows: 0)
+    assert [adaptive_matrix(n, r) for n, r in cases] == want
+    assert exact
 
 
 def test_a_multiple_of_p_never_pivots():
@@ -369,16 +397,16 @@ def test_a_multiple_of_p_never_pivots():
     # determinant P: rank 1 mod P after the first step, 2 over the rationals
     m = [[LaurentQT.const(2), LaurentQT.const(1)],
          [LaurentQT.const(1), LaurentQT.const((P + 1) // 2)]]
-    assert center._modular_rank(m) == 1
-    assert probe(m) == exact_probe(m) == matrix_rank(m) == 2
+    assert modular_rank(m) == 1
+    assert probe(m) == exact_probe(m) == matrix_rank(m, modular_rank(m)) == 2
 
 
 def test_a_denominator_divisible_by_p_falls_back_to_the_exact_probe(monkeypatch):
     calls = counted_specialize(monkeypatch)
     m = [[LaurentQT.const(Fraction(1, 2 ** 61 - 1)), LaurentQT.monomial(1)]]
-    assert center._modular_rank(m) == 0
+    assert modular_rank(m) == 0
     assert probe(m) == 1 and calls == [1]
-    assert matrix_rank(m) == 1
+    assert matrix_rank(m, modular_rank(m)) == 1
 
 
 def test_specialized_rank_is_the_exact_probe_on_evaluation_matrices():
@@ -386,7 +414,7 @@ def test_specialized_rank_is_the_exact_probe_on_evaluation_matrices():
                  (4, power_regime(-1, 1)), (4, power_regime(1, 2))):
         for K in (n, 2 * n):
             matrix = adaptive_matrix(n, r, order=K)[0]
-            assert center._modular_rank(matrix) <= exact_probe(matrix) == probe(matrix)
+            assert modular_rank(matrix) <= exact_probe(matrix) == probe(matrix)
 
 
 def regime_grid(n):
@@ -417,38 +445,91 @@ def rows_up_to(matrix, K):
     return [row for i, row in enumerate(matrix) if i % top <= K]
 
 
+def proportional(got, want):
+    """Whether each integer row of got is a nonzero multiple of want's."""
+    if len(got) != len(want):
+        return False
+    for g, w in zip(got, want):
+        lead = next((j for j, v in enumerate(w) if v), None)
+        if lead is None:
+            if any(g):
+                return False
+        elif not g[lead] or any(x * w[lead] != y * g[lead] for x, y in zip(g, w)):
+            return False
+    return True
+
+
 def test_probe_rows_and_order_match_the_exact_matrices(monkeypatch):
-    # the rows mod p are the exact matrix at the point, term by term, and
-    # the order search on them ends where the search on exact rows ended
+    # the rows mod p are the exact matrix at the point, term by term; the
+    # integer rows are its rows at each point up to scaling; and the order
+    # search on them ends where the search on exact rows ended
     build, built = center._build_matrix, {}
 
-    def memo_build(n, r, K, shapes):
+    def memo_build(values, K):
         # each case's exact matrix is built once, at the highest order asked
         # for; w_k does not depend on K, so a lower order is a row subset
         top = max(built, default=-1)
         if K > top:
-            built[K] = build(n, r, K, shapes)
+            built[K] = build(values, K)
             return built[K]
         return rows_up_to(built[top], K)
 
     monkeypatch.setattr(center, "_build_matrix", memo_build)
     # both hand (matrix, probe) to matrix_rank, so equal pairs give equal ranks
-    monkeypatch.setattr(center, "matrix_rank", lambda matrix, probe=None: probe)
+    monkeypatch.setattr(center, "matrix_rank", lambda matrix, probe: probe)
     cases = [(n, r) for n in range(1, 6) for r in regime_grid(n)]
     cases += [(6, GENERIC), (6, power_regime(1, 2)), (6, power_regime(-1, -3))]
     powers = PowersModP()
     for n, r in cases:
         built.clear()
         shapes = enumerate_lambda(n)
+        values = [drunk_content_values(n, lp.shape, r) for lp in shapes]
         if n <= 5:
-            exact = values_mod_p(memo_build(n, r, 2 * n, shapes), powers)
-            assert center._modular_rows(n, r, 2 * n, shapes) == exact, (n, r)
-            assert center._modular_rows(n, r, n, shapes) == rows_up_to(exact, n), (n, r)
+            exact = memo_build(values, 2 * n)
+            mod_p = values_mod_p(exact, powers)
+            assert center._point_rows(values, 2 * n, p=center._P) == mod_p, (n, r)
+            assert center._point_rows(values, n, p=center._P) == rows_up_to(mod_p, n), (n, r)
+        if n <= 4:
+            # equal (signature, e_n) pairs give equal columns at every order
+            pairs = {(signature(n, lp.shape, r), center._product(vs))
+                     for lp, vs in zip(shapes, values)}
+            assert len(pairs) >= len(set(zip(*exact))), (n, r)
+            # specialization is row by row, so a lower order is a row subset
+            spec = [specialize(exact, point) for point in center._POINTS]
+            for K in sorted({1, n, 2 * n}):
+                for point, rows in zip(center._POINTS, spec):
+                    assert proportional(center._point_rows(values, K, point),
+                                        rows_up_to(rows, K)), (n, r, K, point)
+                # the exact probe of the order-K matrix, from its specialization
+                exact_rows = [list(row) for row in rows_up_to(spec[0], K)]
+                rank = len(center._eliminate(exact_rows, operator.floordiv, abs))
+                rows = center._point_rows(values, K)
+                assert len(center._eliminate(rows, operator.floordiv, abs)) == rank, (n, r, K)
         assert adaptive_matrix(n, r) == adaptive_loop(n, r), (n, r)
     # the row subsets are the matrices of the lower order
     for n, r in ((4, GENERIC), (5, power_regime(-1, 3))):
-        shapes = enumerate_lambda(n)
-        assert rows_up_to(build(n, r, 2 * n, shapes), n) == build(n, r, n, shapes)
+        values = [drunk_content_values(n, lp.shape, r) for lp in enumerate_lambda(n)]
+        assert rows_up_to(build(values, 2 * n), n) == build(values, n)
+
+
+def test_content_values_are_derived_once(monkeypatch):
+    calls = Counter()
+
+    def count(name):
+        f = getattr(center, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(center, name, counted)
+
+    count("drunk_content_values")
+    count("_build_matrix")
+    monkeypatch.setattr(center, "matrix_rank", lambda matrix, probe: probe)
+    for n, r, shapes in ((4, power_regime(1, 0), 8), (6, power_regime(1, 2), 19)):
+        calls.clear()
+        adaptive_matrix(n, r)
+        assert calls == {"drunk_content_values": shapes, "_build_matrix": 1}, (n, r)
 
 
 @pytest.mark.parametrize("n, r, K, rank", [
@@ -461,9 +542,9 @@ def test_adaptive_matrix_order_and_rank(n, r, K, rank):
 def test_independent_rows_survive_an_unlucky_point():
     # vanishes at the first evaluation point only
     p = LaurentQT.monomial(1) - LaurentQT.const(Fraction(17, 5))
-    assert center._independent_rows([[p]], 1) == [0]
+    assert center._independent_rows(rows_of([[p]]), 1) == [0]
     with pytest.raises(ResourceLimit):
-        center._independent_rows([[LaurentQT()]], 1)
+        center._independent_rows(rows_of([[LaurentQT()]]), 1)
 
 
 def test_evaluation_matrix_full_rank_generic():
@@ -490,7 +571,7 @@ def test_adaptive_matrix_stops_at_full_rank():
     matrix, rank, K = adaptive_matrix(3, GENERIC)
     assert rank == len(enumerate_lambda(3))
     assert K >= 3
-    assert matrix_rank(matrix) == rank
+    assert matrix_rank(matrix, modular_rank(matrix)) == rank
 
 
 def test_laurent_frac_coefficients_stay_exact():

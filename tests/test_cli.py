@@ -259,11 +259,13 @@ def test_negative_level_is_usage_error(capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
-def test_idempotent_honours_regime(capsys):
-    code, out, err = invoke(capsys, "idempotent", "--n", "4", "--shape", "2",
-                            "--t", "q^2")
-    assert code == 1 and out == ""
-    assert "RegimeMismatch" in err
+def test_idempotent_takes_no_regime(capsys):
+    # the diagonal is defined generically only; no value of --t is read
+    for t in ("q^2", "generic"):
+        with pytest.raises(SystemExit) as exc:
+            run(["idempotent", "--n", "4", "--shape", "2", "--t", t])
+        assert exc.value.code == 2
+        assert "--t" in capsys.readouterr().err
 
 
 def test_closed_pipe_exits_quietly():

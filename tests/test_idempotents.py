@@ -3,10 +3,9 @@
 import pytest
 
 from bmwcenter import idempotents, tableaux
-from bmwcenter.errors import RegimeMismatch, ResourceLimit
+from bmwcenter.errors import ResourceLimit
 from bmwcenter.idempotents import spectral_idempotent
 from bmwcenter.partitions import EMPTY, Partition, partitions_of
-from bmwcenter.scalars import power_regime
 from bmwcenter.tableaux import children, drunk_path, enumerate_lambda, enumerate_paths
 from oracles import extension_contents, oracle_values, orthogonality_check
 
@@ -22,11 +21,6 @@ def test_extension_contents_counts():
 def test_extension_contents_empty_shape():
     vals = extension_contents(EMPTY)
     assert len(vals) == 1
-
-
-def test_requires_generic_regime():
-    with pytest.raises(RegimeMismatch):
-        spectral_idempotent(2, Partition((2,)), power_regime(1, 2))
 
 
 def test_selects_exactly_the_drunk_path():

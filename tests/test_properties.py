@@ -17,7 +17,8 @@ from bmwcenter.partitions import partitions_of  # noqa: E402
 from bmwcenter.scalars import GENERIC, LaurentQT, power_regime  # noqa: E402
 from bmwcenter.tableaux import (UpDownTableau, enumerate_lambda,  # noqa: E402
                                 enumerate_paths, path_counts)
-from oracles import exact_probe, multiplicativity_check  # noqa: E402
+from oracles import (exact_probe, modular_rank, multiplicativity_check,  # noqa: E402
+                     probe)
 
 LEVEL_AND_SHAPE = st.integers(0, 9).flatmap(
     lambda n: st.sampled_from([(n, lp.shape) for lp in enumerate_lambda(n)]))
@@ -72,10 +73,10 @@ MATRICES = st.sampled_from([st.just(0), st.integers(-4, 4)]).flatmap(
 @given(MATRICES)
 def test_specialized_rank_bounds_exact_rank(m):
     exact = center.bareiss_rank(m)
-    probe = exact_probe(m)
-    assert center._modular_rank(m) <= probe <= exact <= min(len(m), len(m[0]))
-    assert center._specialized_rank(m, center._modular_rank(m)) == probe
-    assert center.matrix_rank(m) == exact
+    at_point = exact_probe(m)
+    assert modular_rank(m) <= at_point <= exact <= min(len(m), len(m[0]))
+    assert probe(m) == at_point
+    assert center.matrix_rank(m, modular_rank(m)) == exact
 
 
 @settings(max_examples=150, deadline=None, database=None)
