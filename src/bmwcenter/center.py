@@ -18,7 +18,8 @@ from math import gcd, isqrt, lcm, prod
 
 from .contentfn import drunk_content_values, signature
 from .errors import ResourceLimit, ZeroDenominator
-from .scalars import LaurentQT, Regime, _add_shifted, exact_ratio, expand_W_series
+from .scalars import (ContentValue, LaurentQT, Regime, _add_shifted, exact_ratio,
+                      expand_W_series)
 from .tableaux import enumerate_lambda
 
 
@@ -86,7 +87,7 @@ def divexact(a: LaurentQT, b: LaurentQT):
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if b.is_monomial():
-        return a * b.monomial_inverse()
+        return a * b.pow(-1)
     # normalize away the Laurent shifts, remembering the net monomial
     (qa, ta), ra = _shifted(a)
     (qb, tb), rb = _shifted(b)
@@ -311,18 +312,12 @@ def matrix_row_labels(K):
     return [(j, k) for j in (0, 1, -1) for k in range(K + 1)]
 
 
-def _exponents(v):
-    """A content value as (sign, x, y), meaning sign * t^x * q^y."""
-    return (v.a, 0, v.b) if v.kind == "power" else (1, v.a, v.b)
-
-
 def _product(values):
-    """e_n, the product of the content values, as (sign, x, y)."""
+    """e_n, the product of the content values, as a ContentValue."""
     sign, x, y = 1, 0, 0
-    for v in values:
-        s, i, j = _exponents(v)
+    for s, i, j in values:
         sign, x, y = sign * s, x + i, y + j
-    return sign, x, y
+    return ContentValue(sign, x, y)
 
 
 def _build_matrix(values, K):
@@ -331,10 +326,9 @@ def _build_matrix(values, K):
     columns = []
     for vs in values:
         w = expand_W_series(vs, K)
-        sign, x, y = _product(vs)
-        e = LaurentQT.monomial(y, x, sign)
-        einv = e.monomial_inverse()
-        columns.append(w + [e * c for c in w] + [einv * c for c in w])
+        e = _product(vs)
+        up, down = e.monomial(), e.inverse().monomial()
+        columns.append(w + [up * c for c in w] + [down * c for c in w])
     return [[col[k] for col in columns] for k in range(3 * (K + 1))]
 
 
@@ -360,20 +354,19 @@ def _point_rows(values, K, point=_POINTS[0], p=None):
             return sign * pow(t, x, p) * pow(q, y, p) % p
 
         for v in distinct:
-            m = at(*_exponents(v))
+            m = at(*v)
             steps[v] = m, -pow(m, -1, p)
         factors = [(e, pow(e, -1, p)) for e in (at(*_product(vs)) for vs in values)]
     else:
         (a, b), (c, d) = ((x.numerator, x.denominator) for x in point)
-        B = max((abs(v.b) for v in distinct), default=0)
-        A = max((abs(v.a) for v in distinct if v.kind == "generic"), default=0)
+        B = max((abs(v.y) for v in distinct), default=0)
+        A = max((abs(v.x) for v in distinct), default=0)
 
         def scaled(sign, x, y):  # lam * sign * t^x * q^y
             return sign * c ** (A + x) * d ** (A - x) * a ** (B + y) * b ** (B - y)
 
         for v in distinct:
-            sign, x, y = _exponents(v)
-            steps[v] = scaled(sign, x, y), -scaled(sign, -x, -y)
+            steps[v] = scaled(*v), -scaled(*v.inverse())
         q, t = point
         es = [sign * t ** x * q ** y for sign, x, y in map(_product, values)]
         E, Einv = lcm(*(e.denominator for e in es)), lcm(*(e.numerator for e in es))

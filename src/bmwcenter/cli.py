@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import string
 import sys
 
@@ -96,7 +97,7 @@ def cmd_paths(args):
 
 def cmd_contents(args):
     mult = contentfn.drunk_contents(args.n, args.shape)
-    items = sorted(mult.items(), key=lambda cm: (cm[0].s, cm[0].i))
+    items = sorted(mult.items())
     if args.format == "json":
         _emit([{"direction": "add" if c.s == ADD else "remove",
                 "diagonal": c.i, "multiplicity": m,
@@ -368,6 +369,13 @@ READS_REGIME = set(COMMANDS) - {"lambda", "paths", "wheel", "idempotent"}
 ORDERED = {"wheel": 4, "matrix": None}
 
 
+def _integer(text):
+    """An int from ASCII digits with an optional minus sign, spaces around."""
+    if not re.fullmatch("-?[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError("bad integer %r" % text)
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bmwcenter",
@@ -376,7 +384,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_integer, required=True)
         if name in READS_REGIME:
             p.add_argument("--t", default="generic",
                            help='regime: "generic", "q^N", "-q^N" or "1"')
@@ -384,7 +392,7 @@ def build_parser():
             p.add_argument("--shape", required=True,
                            help='partition, e.g. "4,2,2" ("0" for empty)')
         if name in ORDERED:
-            p.add_argument("--order", type=int, default=ORDERED[name])
+            p.add_argument("--order", type=_integer, default=ORDERED[name])
         formats = ("text", "json", "dot") if name == "graph" else ("text", "json")
         p.add_argument("--format", choices=formats, default="text")
     return parser

@@ -27,36 +27,34 @@ class WheelSignature:
     """Reduced exponent function of a wheel rational function.
 
     ``exponents`` maps ContentValue v to the net numerator exponent of the
-    factor (1 - vT); zero entries are dropped and self-inverse values never
-    appear, so e(v^-1) = -e(v) always.
+    factor (1 - vT); it holds no zero entries and no self-inverse values,
+    so e(v^-1) = -e(v) always.
     """
 
-    __slots__ = ("kind", "exponents")
+    __slots__ = ("exponents",)
 
-    def __init__(self, kind, exponents):
-        self.kind = kind
-        self.exponents = {v: e for v, e in exponents.items() if e}
+    def __init__(self, exponents):
+        self.exponents = exponents
 
     @property
     def is_trivial(self):
         return not self.exponents
 
     def __eq__(self, other):
-        return (isinstance(other, WheelSignature) and self.kind == other.kind
-                and self.exponents == other.exponents)
+        return isinstance(other, WheelSignature) and self.exponents == other.exponents
 
     def __hash__(self):
-        return hash((self.kind, frozenset(self.exponents.items())))
+        return hash(frozenset(self.exponents.items()))
 
     def sorted_entries(self):
-        return sorted(self.exponents.items(), key=lambda kv: (kv[0].a, kv[0].b))
+        return sorted(self.exponents.items())
 
     def __str__(self):
         if self.is_trivial:
             return "1"
         num, den = [], []
         for v, e in self.sorted_entries():
-            factor = "(1-%sT)" % v
+            factor = "(1-%sT)" % (v,)
             if abs(e) > 1:
                 factor += "^%d" % abs(e)
             (num if e > 0 else den).append(factor)
@@ -89,8 +87,7 @@ def drunk_contents(n, lam: Partition):
 def drunk_content_values(n, lam: Partition, r: Regime):
     """The drunk multiset as a flat list of regime values."""
     out = []
-    for c, m in sorted(drunk_contents(n, lam).items(),
-                       key=lambda cm: (cm[0].s, cm[0].i)):
+    for c, m in sorted(drunk_contents(n, lam).items()):
         out.extend([content_value(c, r)] * m)
     return out
 
@@ -98,31 +95,25 @@ def drunk_content_values(n, lam: Partition, r: Regime):
 def signature(n, lam: Partition, r: Regime) -> WheelSignature:
     """Reduced signature of W(lam, t) at level n, from the box tally.
 
-    With t = eps q^N (N = 0 generically) a box on diagonal d has value
-    t q^2d, that is eps q^k or t q^k with k = N + 2d; row i (from 0) of
-    length a covers k = N - 2i, ..., N + 2(a - i - 1) in steps of 2.  In a
-    power regime eps q^k and eps q^-k are inverse, and k = 0 is
-    self-inverse; generically t q^k is inverse to t^-1 q^-k.
+    With t = (sign, x, N) a box on diagonal d has value t q^2d, that is
+    (sign, x, k) with k = N + 2d; row i (from 0) of length a covers
+    k = N - 2i, ..., N + 2(a - i - 1) in steps of 2.  Its inverse is
+    (sign, -x, -k), which is a box value only when x = 0 (t = +-q^N) and
+    -k is tallied, and is the value itself when k = 0 there.
     """
     labeled(n, lam)  # validates the (shape, level) pair
-    N = r.exponent
+    sign, x, N = r.t
     tally = {}
     for i, a in enumerate(lam):
         for k in range(N - 2 * i, N + 2 * (a - i), 2):
             tally[k] = tally.get(k, 0) + 1
     exps = {}
-    if r.is_generic:
-        for k, m in tally.items():
-            exps[ContentValue("generic", 1, k)] = -m
-            exps[ContentValue("generic", -1, -k)] = m
-        return WheelSignature("generic", exps)
-    eps = r.sign
-    for k in {abs(k) for k in tally} - {0}:
-        e = tally.get(-k, 0) - tally.get(k, 0)
+    for k, m in tally.items():
+        e = (0 if x else tally.get(-k, 0)) - m
         if e:
-            exps[ContentValue("power", eps, k)] = e
-            exps[ContentValue("power", eps, -k)] = -e
-    return WheelSignature("power", exps)
+            exps[ContentValue(sign, x, k)] = e
+            exps[ContentValue(sign, -x, -k)] = -e
+    return WheelSignature(exps)
 
 
 def pairing_set(n, lam: Partition, r: Regime):

@@ -7,6 +7,7 @@ first; the empty tuple is the empty partition.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from functools import lru_cache
 from itertools import zip_longest
@@ -87,11 +88,9 @@ def partition_from_text(text: str) -> Partition:
     spec = text.strip()
     if spec in ("", "0"):
         return EMPTY
-    try:
-        parts = [int(p) for p in spec.split(",")]
-    except ValueError:
-        raise ValueError("bad shape spec %r" % text) from None
-    return Partition(parts)
+    if not re.fullmatch("[0-9]+(,[0-9]+)*", spec):
+        raise ValueError("bad shape spec %r" % text)
+    return Partition(spec.split(","))
 
 
 def _parts_rec(rem, cap, acc):

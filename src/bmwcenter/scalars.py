@@ -4,20 +4,26 @@ A regime is either generic (q, t algebraically independent, q not a root of
 unity) or a power specialization t = eps * q^N with q transcendental.
 Root-of-unity parameters are unrepresentable by construction.
 
-Content values live in the group {+-1} x Z (power regimes, sigma * q^m) or
-in the free abelian group on t and q^2 (generic).  LaurentQT is the sparse
-exact Laurent polynomial, in q and t here and in x_1 ... x_n as
-wheelpoly.MultiLaurent; its arithmetic shifts and adds term dicts in place
-through one kernel, _add_shifted.  Coefficients are ints, and Fractions
-where a quotient is not integral (see exact_ratio).  wheel_series expands
-prod(1 - m^-1 T) / prod(1 - m T) over monomials of either ring.
+A content value is one triple (sign, x, y) meaning sign * t^x * q^y: at
+t = +-q^N every value has x = 0, and generically every value has sign +1
+and x = +-1, so one tuple order and one printer serve both regimes.
+
+LaurentQT is the sparse exact Laurent polynomial, in q and t here and in
+x_1 ... x_n as wheelpoly.MultiLaurent; its arithmetic shifts and adds term
+dicts in place through one kernel, _add_shifted.  Coefficients are ints,
+and Fractions where a quotient is not integral (see exact_ratio).
+wheel_series expands prod(1 - m^-1 T) / prod(1 - m T) over monomials of
+either ring.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +54,12 @@ class Regime:
     def is_even_power(self):
         return self.is_power and self.exponent % 2 == 0
 
+    @cached_property
+    def t(self):
+        """The value of t: t itself, or sign * q^exponent."""
+        return ContentValue(1, 1, 0) if self.is_generic else ContentValue(
+            self.sign, 0, self.exponent)
+
     def __str__(self):
         if self.is_generic:
             return "generic"
@@ -68,13 +80,10 @@ def regime_from_text(text):
         return GENERIC
     if spec == "1":
         return power_regime(1, 0)
-    sign, power = (-1, spec[1:]) if spec.startswith("-") else (1, spec)
-    if power.startswith("q^"):
-        try:
-            return power_regime(sign, int(power[2:]))
-        except ValueError:
-            pass
-    raise ValueError("bad regime spec %r" % text)
+    m = re.fullmatch(r"(-?)q\^(-?[0-9]+)", spec)
+    if m is None:
+        raise ValueError("bad regime spec %r" % text)
+    return power_regime(-1 if m[1] else 1, int(m[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +93,7 @@ ADD = 1
 REMOVE = -1
 
 
-@dataclass(frozen=True)
-class Content:
+class Content(NamedTuple):
     """One updown step: (t q^{2i})^s with s = +1 for add, -1 for remove."""
 
     s: int  # ADD or REMOVE
@@ -95,41 +103,37 @@ class Content:
         return "(%s, %d)" % ("add" if self.s == ADD else "remove", self.i)
 
 
-@dataclass(frozen=True, order=True)
-class ContentValue:
-    """Exact value of a content in a regime.
+class ContentValue(NamedTuple):
+    """sign * t^x * q^y, the exact value of a content in a regime.
 
-    Power regime: (sign, m) denoting sign * q^m.  Generic: (t_exp, q_exp)
-    denoting t^{t_exp} q^{q_exp}; sign is fixed to +1 there.
+    x = 0 at t = +-q^N; generically sign = +1 and x = +-1.
     """
 
-    kind: str
-    a: int  # power: sign in {+1,-1}; generic: exponent of t
-    b: int  # power: exponent of q; generic: exponent of q
+    sign: int
+    x: int
+    y: int
 
     def inverse(self):
-        if self.kind == "power":
-            return ContentValue("power", self.a, -self.b)
-        return ContentValue("generic", -self.a, -self.b)
+        return ContentValue(self.sign, -self.x, -self.y)  # sign = 1 / sign
 
     def monomial(self):
         """The value as a LaurentQT monomial."""
-        if self.kind == "power":
-            return LaurentQT({(self.b, 0): self.a})
-        return LaurentQT({(self.b, self.a): 1})
+        return LaurentQT({(self.y, self.x): self.sign})
 
     def __str__(self):
-        if self.kind == "power":
-            return "%sq^%d" % ("-" if self.a < 0 else "", self.b)
-        return "t^%d*q^%d" % (self.a, self.b)
+        if self.x:
+            return "t^%d*q^%d" % (self.x, self.y)
+        return "%sq^%d" % ("-" if self.sign < 0 else "", self.y)
 
 
 def content_value(c: Content, r: Regime) -> ContentValue:
-    """Value of (t q^{2i})^s in the regime."""
-    if r.is_generic:
-        return ContentValue("generic", c.s, 2 * c.i * c.s)
-    # t = eps q^N: (t q^{2i})^s = eps^s q^{s(N+2i)}; eps^s = eps for eps = +-1
-    return ContentValue("power", r.sign, c.s * (r.exponent + 2 * c.i))
+    """Value of (t q^{2i})^s in the regime.
+
+    With t's own value (sign, x, N) that is sign^s t^(xs) q^(s(N+2i)),
+    and sign^s = sign for sign = +-1.
+    """
+    sign, x, N = r.t
+    return ContentValue(sign, c.s * x, c.s * (N + 2 * c.i))
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +263,6 @@ class LaurentQT:
         c = c ** k if k >= 0 else exact_ratio(1, c ** -k)
         r.terms = {tuple(k * x for x in e): c}
         return r
-
-    def monomial_inverse(self):
-        return self.pow(-1)
 
     def __str__(self):
         """Terms in (q, t) exponent order, e.g. "- 1 + 3/4*q^2*t^-1"."""

@@ -2,13 +2,13 @@
 
 Nothing in ``bmwcenter`` calls these: they are slow, direct restatements
 of definitions (box geometry, dominance, the Rui-Si order, wheel
-membership, the Newton identities through the inverse series,
-the reduction of a content-value multiset to its signature,
-multiplicativity of W, block classification over every pair of Lambda_n,
-the idempotents' interpolation product and their orthogonality, LaurentQT
-matrices at a point, as integers or mod p, and the order search of
-evaluation matrices on exact rows) that the tests hold the library's fast
-paths against.
+membership, the Newton identities through the inverse series, the
+reduction of a content-value multiset to its signature, multiplicativity
+of W, the separation condition on the branching graph, block
+classification over every pair of Lambda_n, the idempotents'
+interpolation product and their orthogonality, LaurentQT matrices at a
+point, as integers or mod p, and the order search of evaluation matrices
+on exact rows) that the tests hold the library's fast paths against.
 """
 
 import operator
@@ -20,7 +20,6 @@ from bmwcenter import center
 from bmwcenter.blocks import BlockReport, block_equivalent
 from bmwcenter.center import _POINTS, _P, _eliminate, _rank_mod_p, separation_classes
 from bmwcenter.contentfn import WheelSignature, drunk_content_values, signature
-from bmwcenter.errors import RegimeMismatch
 from bmwcenter.idempotents import spectral_idempotent
 from bmwcenter.partitions import EMPTY, Partition, skew_datum
 from bmwcenter.scalars import (ADD, GENERIC, Content, ContentValue, LaurentQT,
@@ -148,26 +147,25 @@ def truncated(path, k):
 
 
 def value_product(v, w):
-    """v * w in the value group: {+-1} x Z at t = +-q^N, Z^2 generically."""
-    if v.kind != w.kind:
-        raise RegimeMismatch("cannot multiply values of different regimes")
-    if v.kind == "power":
-        return ContentValue("power", v.a * w.a, v.b + w.b)
-    return ContentValue("generic", v.a + w.a, v.b + w.b)
+    """v * w in the value group: signs multiply, exponents add."""
+    return ContentValue(v.sign * w.sign, v.x + w.x, v.y + w.y)
 
 
 def is_one(v):
-    """Whether v is the identity value (1, q^0 or t^0 q^0)."""
-    return (v.a, v.b) == ((1, 0) if v.kind == "power" else (0, 0))
+    """Whether v is the identity value."""
+    return v == (1, 0, 0)
 
 
 def power_sig(entries):
-    """The power-regime signature with exponent e at value q^b, for {b: e}."""
-    return WheelSignature("power", {ContentValue("power", 1, b): e
-                                    for b, e in entries.items()})
+    """The power-regime signature with exponent e at value q^y, for {y: e}."""
+    return WheelSignature({ContentValue(1, 0, y): e for y, e in entries.items()})
 
 
-def reduce_values(values, kind) -> WheelSignature:
+def _nonzero(exps):
+    return WheelSignature({v: e for v, e in exps.items() if e})
+
+
+def reduce_values(values) -> WheelSignature:
     """Signature of prod(1 - v^-1 T)/prod(1 - v T) over a value multiset:
     each value cancels against its inverse, and self-inverse ones drop."""
     exps = Counter()
@@ -176,16 +174,14 @@ def reduce_values(values, kind) -> WheelSignature:
         if v != inv:
             exps[v] -= m
             exps[inv] += m
-    return WheelSignature(kind, exps)
+    return _nonzero(exps)
 
 
 def merge(a, b):
     """Signature of the product of the two rational functions."""
-    if a.kind != b.kind:
-        raise RegimeMismatch("cannot merge signatures of different regimes")
     out = Counter(a.exponents)
     out.update(b.exponents)
-    return WheelSignature(a.kind, out)
+    return _nonzero(out)
 
 
 def skew_signature(lam, mu, r):
@@ -193,7 +189,7 @@ def skew_signature(lam, mu, r):
     values = []
     for i, m in sorted(skew_datum(lam, mu).items()):
         values.extend([content_value(Content(ADD, i), r)] * m)
-    return reduce_values(values, r.kind)
+    return reduce_values(values)
 
 
 def multiplicativity_check(lam, mu, r):
@@ -201,6 +197,34 @@ def multiplicativity_check(lam, mu, r):
     lhs = signature(lam.size, lam, r)
     rhs = merge(signature(mu.size, mu, r), skew_signature(lam, mu, r))
     return lhs == rhs
+
+
+def separated(n, r):
+    """The Okounkov-Vershik separation condition at level n (Mathas 2008):
+    no two distinct updown paths of length n have equal content-value
+    sequences.
+
+    A pair DP over the branching graph: two such paths split at one shape
+    into two children on edges of equal value and then step on equal
+    values, so pairs of shapes are seeded by the first and advanced in
+    lockstep by the second; the paths may meet again later.
+    """
+    steps = {}
+
+    def out(shape):
+        if shape not in steps:
+            steps[shape] = [(content_value(edge_content(shape, c), r), c)
+                            for c in children(shape)]
+        return steps[shape]
+
+    level, pairs = {EMPTY}, set()
+    for _ in range(n):
+        pairs = {(c, d) for a, b in pairs for v, c in out(a) for w, d in out(b)
+                 if v == w}
+        pairs |= {(c, d) for shape in level
+                  for (v, c), (w, d) in combinations(out(shape), 2) if v == w}
+        level = {c for shape in level for _, c in out(shape)}
+    return not pairs
 
 
 # ---------------------------------------------------------------------------

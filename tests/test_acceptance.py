@@ -32,10 +32,8 @@ def test_golden_content_sequence():
                           Partition((1,)), Partition((1, 1))])
     values = [content_value(c, GENERIC) for c in content_sequence(path)]
     # t, t q^2, t^-1 q^-2, t q^-2
-    assert values == [ContentValue("generic", 1, 0),
-                      ContentValue("generic", 1, 2),
-                      ContentValue("generic", -1, -2),
-                      ContentValue("generic", 1, -2)]
+    assert values == [ContentValue(1, 1, 0), ContentValue(1, 1, 2),
+                      ContentValue(1, -1, -2), ContentValue(1, 1, -2)]
     assert [str(v) for v in values] == [
         "t^1*q^0", "t^1*q^2", "t^-1*q^-2", "t^1*q^-2"]
 

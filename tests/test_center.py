@@ -68,6 +68,27 @@ def test_theorem1_predicate_generic_and_symmetry():
                     theorem1_predicate(n, power_regime(sign, -N))
 
 
+def check_separation(n, r):
+    """The Okounkov-Vershik separation condition at level n in regime r
+    against semisimplicity and the closed-form separation predicate."""
+    sep = oracles.separated(n, r)
+    ss, pred = is_semisimple(n, r), theorem1_predicate(n, r)
+    assert ss and pred or not sep, (n, str(r))
+    assert sep == ss or not r.is_even_power, (n, str(r))
+    assert sep == pred or (n, abs(r.exponent)) == (3, 1), (n, str(r))
+
+
+def test_separation_condition_matches_semisimplicity_and_predicate():
+    for n in range(1, 11):
+        for r in [GENERIC] + [power_regime(eps, N) for eps in (1, -1)
+                              for N in range(-2 * n - 3, 2 * n + 4)]:
+            check_separation(n, r)
+    # generically content sequences separate paths; at t = q^-1 the two
+    # level-2 paths through (1) to (2) and to the empty shape do not
+    assert oracles.separated(6, GENERIC)
+    assert not oracles.separated(2, power_regime(1, -1))
+
+
 def test_divexact_oracle():
     rng = random.Random(5)
     for _ in range(40):

@@ -192,17 +192,30 @@ def test_usage_error_exit_two(capsys):
         run(["separate", "--n", "2", "--t", "bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
-    # the bad value is quoted as given; a zero inside a shape is refused
+    # the bad value is quoted as given; a zero inside a shape is refused;
+    # numbers are ASCII digits with nothing else that int() would accept
     for argv, message in (
             (["separate", "--n", "3", "--t", "-1"], "bad regime spec '-1'"),
             (["signature", "--n", "2", "--shape", "1,,1"], "bad shape spec '1,,1'"),
-            (["signature", "--n", "2", "--shape", "1,0,1"], "weakly decreasing")):
+            (["signature", "--n", "2", "--shape", "1,0,1"], "weakly decreasing"),
+            (["semisimple", "--n", "5", "--t", "q^1_0"], "bad regime spec 'q^1_0'"),
+            (["separate", "--n", "3", "--t", "q^+2"], "bad regime spec 'q^+2'"),
+            (["separate", "--n", "3", "--t", "q^ 3"], "bad regime spec 'q^ 3'"),
+            (["signature", "--n", "12", "--shape", "1_0,2"], "bad shape spec '1_0,2'"),
+            (["signature", "--n", "4", "--shape", "2, 2"], "bad shape spec '2, 2'"),
+            (["signature", "--n", "3", "--shape", "+3"], "bad shape spec '+3'"),
+            (["signature", "--n", "1_2", "--shape", "10,2"], "bad integer '1_2'"),
+            (["lambda", "--n", "+3"], "bad integer '+3'"),
+            (["matrix", "--n", "3", "--order", "1_0"], "bad integer '1_0'"),
+            (["wheel", "--n", "2", "--order", "\u0663"], "bad integer")):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2 and message in capsys.readouterr().err
-    # trailing zeros are dropped
+    # trailing zeros are dropped, and spaces around a whole spec
     assert invoke(capsys, "signature", "--n", "2", "--shape", "1,1,0") == invoke(
         capsys, "signature", "--n", "2", "--shape", "1,1")
+    spaced = invoke(capsys, "signature", "--n", " 4 ", "--shape", " 2,2 ", "--t", " q^3 ")
+    assert spaced == invoke(capsys, "signature", "--n", "4", "--shape", "2,2", "--t", "q^3")
 
 
 @pytest.mark.parametrize("argv", [

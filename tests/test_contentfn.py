@@ -5,16 +5,14 @@ from collections import Counter
 
 import pytest
 
-from bmwcenter.contentfn import (WheelSignature, drunk_content_values,
-                                 drunk_contents, pairing_set, series_consistency,
-                                 signature, signature_json)
+from bmwcenter.contentfn import (drunk_content_values, drunk_contents, pairing_set,
+                                 series_consistency, signature, signature_json)
 from bmwcenter.errors import RegimeMismatch, ShapeLevelMismatch
 from bmwcenter.partitions import EMPTY, Partition, diagonal_datum
 from bmwcenter.scalars import ADD, Content, ContentValue, GENERIC, power_regime
 from bmwcenter.tableaux import content_sequence, drunk_path, enumerate_lambda
 from bmwcenter.wheelpoly import wheel_coefficients
-from oracles import (merge, multiplicativity_check, power_sig, reduce_values,
-                     skew_signature)
+from oracles import multiplicativity_check, power_sig, reduce_values, skew_signature
 
 
 def test_drunk_contents_closed_form():
@@ -37,21 +35,21 @@ def test_drunk_contents_level_checked():
 
 
 def test_reduce_values_cancels_inverse_pairs():
-    v = ContentValue("power", 1, 4)
-    assert reduce_values([v, v.inverse()], "power").is_trivial
+    v = ContentValue(1, 0, 4)
+    assert reduce_values([v, v.inverse()]).is_trivial
     # self-inverse values never contribute
-    one = ContentValue("power", 1, 0)
-    assert reduce_values([one, one], "power").is_trivial
+    one = ContentValue(1, 0, 0)
+    assert reduce_values([one, one]).is_trivial
 
 
 def test_reduce_values_order_independent():
     rng = random.Random(3)
-    vals = [ContentValue("power", 1, b) for b in (-4, -2, -2, 0, 2, 4, 4, 6)]
-    base = reduce_values(vals, "power")
+    vals = [ContentValue(1, 0, y) for y in (-4, -2, -2, 0, 2, 4, 4, 6)]
+    base = reduce_values(vals)
     for _ in range(10):
         shuffled = vals[:]
         rng.shuffle(shuffled)
-        assert reduce_values(shuffled, "power") == base
+        assert reduce_values(shuffled) == base
 
 
 def test_signature_closed_form_matches_reduced_values():
@@ -64,7 +62,7 @@ def test_signature_closed_form_matches_reduced_values():
         for r in regimes:
             for lp in lps:
                 closed = signature(n, lp.shape, r)
-                reduced = reduce_values(drunk_content_values(n, lp.shape, r), r.kind)
+                reduced = reduce_values(drunk_content_values(n, lp.shape, r))
                 assert closed == reduced, (n, lp, r)
                 assert hash(closed) == hash(reduced)
                 assert str(closed) == str(reduced)
@@ -97,19 +95,23 @@ def test_signature_collision_t_qinv_n2():
     assert signature(2, EMPTY, r) != signature(2, Partition((1, 1)), r)
 
 
-def test_signature_equal_checks_kind():
-    # equal exponent maps from different regimes are different signatures
+def test_signatures_of_different_regimes_differ_unless_trivial():
+    # a generic signature's values have x = +-1 and a power one's x = 0, so
+    # nontrivial signatures of the two never compare equal; trivial ones
+    # are the same empty map, printed 1 in every regime
+    powers = [power_regime(eps, N) for eps in (1, -1) for N in range(-7, 8)]
+    for n in range(6):
+        for lp in enumerate_lambda(n):
+            a = signature(n, lp.shape, GENERIC)
+            assert a.is_trivial == (lp.shape == EMPTY)
+            assert all(v.sign == 1 and v.x in (1, -1) for v in a.exponents)
+            for r in powers:
+                b = signature(n, lp.shape, r)
+                assert all(v.x == 0 for v in b.exponents)
+                assert (a == b) == (a.is_trivial and b.is_trivial), (n, lp, r)
     a = signature(2, EMPTY, GENERIC)
     b = signature(2, EMPTY, power_regime(1, 2))
-    assert a.is_trivial and b.is_trivial
-    assert a != b and WheelSignature("power", {}) != WheelSignature("generic", {})
-
-
-def test_merge_checks_kind():
-    a = signature(2, Partition((2,)), GENERIC)
-    b = signature(2, Partition((2,)), power_regime(1, 2))
-    with pytest.raises(RegimeMismatch):
-        merge(a, b)
+    assert a == b and hash(a) == hash(b) and str(a) == str(b) == "1"
 
 
 def test_skew_signature_trivial_cases():

@@ -1,10 +1,14 @@
 """Closed-form pairing and admissibility against content-value products.
 
-At t = eps q^N the content of diagonal i is c(i) = eps q^(N + 2i), so
-``blocks.check_admissible`` and ``contentfn.pairing_set`` find mates by
-diagonal arithmetic (j = -N - i).  The oracles below find them the slow
-way, by multiplying ``ContentValue``s, and must agree on every skew shape
-lam/mu with |lam| <= 8 in every power regime with |N| <= 9.
+At t = eps q^N the content of diagonal i is c(i) = eps q^(N + 2i), the
+``ContentValue`` (eps, 0, N + 2i) in the one encoding (sign, x, y) of
+sign * t^x * q^y, so ``blocks.check_admissible`` and
+``contentfn.pairing_set`` find mates by diagonal arithmetic (j = -N - i).
+The oracles below find them the slow way, by multiplying values (signs
+multiply, exponents add) and comparing with the identity (1, 0, 0); the
+values q and -q^-1 of conditions (3) and (4) are (1, 0, 1) and
+(-1, 0, -1).  Both must agree on every skew shape lam/mu with |lam| <= 8
+in every power regime with |N| <= 9.
 """
 
 import pytest
@@ -36,10 +40,10 @@ def oracle_admissible(lam, f, mu, r):
         failed.append(2)
     for i in sorted(sd):
         v = value[i]
-        if ((v.a, v.b) == (1, 1) and is_one(value_product(v, value.get(i - 1, v)))
+        if (v == (1, 0, 1) and is_one(value_product(v, value.get(i - 1, v)))
                 and sd[i - 1] and sd[i] % 2):
             failed.append(3)
-        if ((v.a, v.b) == (-1, -1) and is_one(value_product(v, value.get(i + 1, v)))
+        if (v == (-1, 0, -1) and is_one(value_product(v, value.get(i + 1, v)))
                 and sd[i + 1] and sd[i] % 2):
             failed.append(4)
     return failed
