@@ -15,8 +15,8 @@ from bmwcenter.center import (LaurentFrac, adaptive_matrix, bareiss_rank,
 from bmwcenter.errors import ResourceLimit, ZeroDenominator
 from bmwcenter.blocks import is_semisimple
 from bmwcenter.contentfn import drunk_content_values, signature
-from bmwcenter.scalars import GENERIC, LaurentQT, power_regime
-from bmwcenter.tableaux import enumerate_lambda
+from bmwcenter.scalars import GENERIC, LaurentQT, content_value, power_regime
+from bmwcenter.tableaux import content_sequence, enumerate_lambda, enumerate_paths
 import oracles
 from oracles import (adaptive_loop, exact_probe, map_exponents, modular_rank, probe,
                      specialize)
@@ -73,16 +73,26 @@ def check_separation(n, r):
     against semisimplicity and the closed-form separation predicate."""
     sep = oracles.separated(n, r)
     ss, pred = is_semisimple(n, r), theorem1_predicate(n, r)
-    assert ss and pred or not sep, (n, str(r))
-    assert sep == ss or not r.is_even_power, (n, str(r))
-    assert sep == pred or (n, abs(r.exponent)) == (3, 1), (n, str(r))
+    if sep:
+        assert ss and pred, (n, str(r))
+    if r.is_even_power:
+        assert sep == ss, (n, str(r))
+    if (n, abs(r.exponent)) != (3, 1):  # the predicate's own exceptions
+        assert sep == pred, (n, str(r))
 
 
 def test_separation_condition_matches_semisimplicity_and_predicate():
     for n in range(1, 11):
-        for r in [GENERIC] + [power_regime(eps, N) for eps in (1, -1)
-                              for N in range(-2 * n - 3, 2 * n + 4)]:
+        regimes = [GENERIC] + [power_regime(eps, N) for eps in (1, -1)
+                               for N in range(-2 * n - 3, 2 * n + 4)]
+        for r in regimes:
             check_separation(n, r)
+        if n <= 5:  # the pair DP against every path of the level
+            paths = [p for lp in enumerate_lambda(n) for p in enumerate_paths(n, lp.shape)]
+            for r in regimes:
+                spectra = {tuple(content_value(c, r) for c in content_sequence(p))
+                           for p in paths}
+                assert oracles.separated(n, r) == (len(spectra) == len(paths)), (n, str(r))
     # generically content sequences separate paths; at t = q^-1 the two
     # level-2 paths through (1) to (2) and to the empty shape do not
     assert oracles.separated(6, GENERIC)
