@@ -12,7 +12,8 @@ from bmwcenter.partitions import EMPTY, Partition, diagonal_datum
 from bmwcenter.scalars import ADD, Content, ContentValue, GENERIC, power_regime
 from bmwcenter.tableaux import content_sequence, drunk_path, enumerate_lambda
 from bmwcenter.wheelpoly import wheel_coefficients
-from oracles import multiplicativity_check, power_sig, reduce_values, skew_signature
+from oracles import (merge, multiplicativity_check, power_sig, reduce_values,
+                     skew_signature)
 
 
 def test_drunk_contents_closed_form():
@@ -95,23 +96,40 @@ def test_signature_collision_t_qinv_n2():
     assert signature(2, EMPTY, r) != signature(2, Partition((1, 1)), r)
 
 
-def test_signatures_of_different_regimes_differ_unless_trivial():
+_POWERS = [power_regime(eps, N) for eps in (1, -1) for N in range(-7, 8)]
+
+
+def test_signature_equal_checks_kind():
     # a generic signature's values have x = +-1 and a power one's x = 0, so
     # nontrivial signatures of the two never compare equal; trivial ones
     # are the same empty map, printed 1 in every regime
-    powers = [power_regime(eps, N) for eps in (1, -1) for N in range(-7, 8)]
     for n in range(6):
         for lp in enumerate_lambda(n):
             a = signature(n, lp.shape, GENERIC)
             assert a.is_trivial == (lp.shape == EMPTY)
             assert all(v.sign == 1 and v.x in (1, -1) for v in a.exponents)
-            for r in powers:
+            for r in _POWERS:
                 b = signature(n, lp.shape, r)
                 assert all(v.x == 0 for v in b.exponents)
                 assert (a == b) == (a.is_trivial and b.is_trivial), (n, lp, r)
     a = signature(2, EMPTY, GENERIC)
     b = signature(2, EMPTY, power_regime(1, 2))
     assert a == b and hash(a) == hash(b) and str(a) == str(b) == "1"
+
+
+def test_merge_checks_kind():
+    # the value sets of the two regimes are disjoint, so merging a generic
+    # signature with a power one cancels nothing: the exponent maps sit
+    # side by side and the product is trivial only when both factors are
+    for n in range(5):
+        for lp in enumerate_lambda(n):
+            a = signature(n, lp.shape, GENERIC)
+            for r in _POWERS:
+                b = signature(n, lp.shape, r)
+                assert not set(a.exponents) & set(b.exponents), (n, lp, r)
+                m = merge(a, b)
+                assert m.exponents == {**a.exponents, **b.exponents}, (n, lp, r)
+                assert m.is_trivial == (a.is_trivial and b.is_trivial)
 
 
 def test_skew_signature_trivial_cases():
