@@ -18,7 +18,7 @@ from .tableaux import LabeledPartition
 
 def is_semisimple(n, r: Regime) -> bool:
     """Semisimplicity of the level-n algebra in the given regime."""
-    if r.is_generic or n == 1:
+    if r.is_generic or n <= 1:  # level 0 is the ground field
         return True
     eps, N = r.sign, r.exponent
     if (eps, N) in ((1, -1), (-1, 1)):  # t = q^-1 or t = -q

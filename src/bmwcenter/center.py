@@ -6,12 +6,11 @@ evaluation matrices of the elementary wheel family with fraction-free rank,
 and constructive unitriangular separating families.  Evaluation is a ring
 map, so every evaluation at a point (the ranks that fix the order K, and
 the choice of independent rows) runs the W series on the content values
-there, mod p or as scaled integers; the exact matrix is built once.
+there, mod p; the exact matrix is built once.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
@@ -332,65 +331,33 @@ def _build_matrix(values, K):
     return [[col[k] for col in columns] for k in range(3 * (K + 1))]
 
 
-def _point_rows(values, K, point=_POINTS[0], p=None):
-    """The rows of _build_matrix(values, K) at q, t = point: mod p when p
-    is given, otherwise as integers, each row scaled by a nonzero constant.
+def _point_rows(values, K, point=_POINTS[0]):
+    """The rows of _build_matrix(values, K) at q, t = point, mod _P.
 
     Evaluation is a ring map, so the W series and e_n^{+-1} are formed on the
-    values at the point as on their monomials.  For integers, with q = a/b
-    and t = c/d, T becomes lam T with lam = (ab)^B (cd)^A, B and A the
-    largest |q| and |t| exponents of the values: that scales row (j, k) by
-    lam^k and makes lam m and lam / m integers for every value m.  The
-    e_n^{+-1} blocks are scaled by the lcm of their denominators, and each
-    row is divided by the gcd of its entries.  Scaling rows changes neither
-    the rank nor which rows are independent.
+    values at the point as on their monomials.
     """
-    distinct = {v for vs in values for v in vs}
-    steps = {}  # per value m, the recurrence's m and -1/m (lam m and -lam/m for ints)
-    if p:
-        q, t = (x.numerator * pow(x.denominator, -1, p) % p for x in point)
+    q, t = (x.numerator * pow(x.denominator, -1, _P) % _P for x in point)
 
-        def at(sign, x, y):  # sign * t^x * q^y at the point, mod p
-            return sign * pow(t, x, p) * pow(q, y, p) % p
+    def at(sign, x, y):  # sign * t^x * q^y at the point
+        return sign * pow(t, x, _P) * pow(q, y, _P) % _P
 
-        for v in distinct:
-            m = at(*v)
-            steps[v] = m, -pow(m, -1, p)
-        factors = [(e, pow(e, -1, p)) for e in (at(*_product(vs)) for vs in values)]
-    else:
-        (a, b), (c, d) = ((x.numerator, x.denominator) for x in point)
-        B = max((abs(v.y) for v in distinct), default=0)
-        A = max((abs(v.x) for v in distinct), default=0)
-
-        def scaled(sign, x, y):  # lam * sign * t^x * q^y
-            return sign * c ** (A + x) * d ** (A - x) * a ** (B + y) * b ** (B - y)
-
-        for v in distinct:
-            steps[v] = scaled(*v), -scaled(*v.inverse())
-        q, t = point
-        es = [sign * t ** x * q ** y for sign, x, y in map(_product, values)]
-        E, Einv = lcm(*(e.denominator for e in es)), lcm(*(e.numerator for e in es))
-        factors = [(int(e * E), int(Einv / e)) for e in es]
+    steps = {}  # per value m, the recurrence's m and -1/m
+    for v in {v for vs in values for v in vs}:
+        m = at(*v)
+        steps[v] = m, -pow(m, -1, _P)
     columns = []
-    for vs, (fe, fi) in zip(values, factors):
+    for vs in values:
         w = [1] + [0] * K
         for v in vs:  # times (1 - m^-1 T), then over (1 - m T)
             up, down = steps[v]
-            if p:
-                for k in range(K, 0, -1):
-                    w[k] = (w[k] + down * w[k - 1]) % p
-                for k in range(1, K + 1):
-                    w[k] = (w[k] + up * w[k - 1]) % p
-            else:
-                for k in range(K, 0, -1):
-                    w[k] += down * w[k - 1]
-                for k in range(1, K + 1):
-                    w[k] += up * w[k - 1]
-        columns.append(w + [fe * x for x in w] + [fi * x for x in w])
-    if p:
-        return [[x % p for x in row] for row in zip(*columns)]
-    return [[x // g for x in row] if (g := gcd(*row)) > 1 else list(row)
-            for row in zip(*columns)]
+            for k in range(K, 0, -1):
+                w[k] = (w[k] + down * w[k - 1]) % _P
+            for k in range(1, K + 1):
+                w[k] = (w[k] + up * w[k - 1]) % _P
+        e = at(*_product(vs))
+        columns.append(w + [e * x for x in w] + [pow(e, -1, _P) * x for x in w])
+    return [[x % _P for x in row] for row in zip(*columns)]
 
 
 def adaptive_matrix(n, r: Regime, shapes=None, order=None):
@@ -399,34 +366,28 @@ def adaptive_matrix(n, r: Regime, shapes=None, order=None):
     Rows follow matrix_row_labels(K); the w_k values are read off as T^k
     coefficients of the expanded W series and e_n is the product of the
     drunk contents.  ``shapes`` defaults to Lambda_n.  K is ``order`` when
-    given; otherwise K grows until the rank at the first evaluation point
-    stabilizes or hits the column count.  Each shape's content values are
-    derived once, and every rank at the point comes from them: mod p first,
-    and from the integer rows where that stays below both the column count
-    and the number of distinct (signature, e_n) pairs, which bounds the
-    rank (equal pairs give equal columns).  The exact matrix is built once,
-    at the final K, and its rank computed once.  Returns (matrix, rank, K).
+    given; otherwise K grows until the rank at the first evaluation point,
+    mod p, stabilizes or hits the column count.  Each shape's content
+    values are derived once, and every rank at the point comes from them.
+    The exact matrix is built once, at the final K, and its rank computed
+    once, with the rank mod p as the lower bound.  Returns (matrix, rank, K).
     """
-    level = enumerate_lambda(n)
-    cap = 4 * len(level)
     if shapes is None:
-        shapes = level
+        shapes = enumerate_lambda(n)
+    return _order_search(n, [drunk_content_values(n, lp.shape, r) for lp in shapes],
+                         order)
+
+
+def _order_search(n, values, order):
+    """adaptive_matrix on the content values of its shapes."""
+    cap = 4 * len(enumerate_lambda(n))
     K = max(n, 1) if order is None else order
     if K > cap:
         raise ResourceLimit("order %d exceeds cap %d at level %d" % (K, cap, n))
-    values = [drunk_content_values(n, lp.shape, r) for lp in shapes]
-    distinct = None
     prev_probe = -1
     while True:
-        # the probe fixes K, which is printed: mod p, exact only below both bounds
-        probe = _rank_mod_p(_point_rows(values, K, p=_P))
-        if probe < len(shapes) and order is None and K < cap:
-            if distinct is None:
-                distinct = len({(signature(n, lp.shape, r), _product(vs))
-                                for lp, vs in zip(shapes, values)})
-            if probe < distinct:
-                probe = len(_eliminate(_point_rows(values, K), operator.floordiv, abs))
-        if (order is not None or probe == len(shapes) or probe == prev_probe
+        probe = _rank_mod_p(_point_rows(values, K))  # fixes K, which is printed
+        if (order is not None or probe == len(values) or probe == prev_probe
                 or K >= cap):
             matrix = _build_matrix(values, K)
             return matrix, matrix_rank(matrix, probe), K
@@ -475,10 +436,10 @@ def separating_family(n, r: Regime):
     """
     report = separation_classes(n, r)
     reps = [c[0] for c in report.classes]
-    matrix, rank, K = adaptive_matrix(n, r, reps)
+    values = [drunk_content_values(n, lp.shape, r) for lp in reps]
+    matrix, rank, K = _order_search(n, values, None)
     if rank < len(reps):
         raise ResourceLimit("rank %d below %d classes at cap order" % (rank, len(reps)))
-    values = [drunk_content_values(n, lp.shape, r) for lp in reps]
     rows = _independent_rows(lambda point: _point_rows(values, K, point), len(reps))
     m = len(reps)
     # fraction-free forward elimination on [A | I]; fractions appear only
@@ -504,14 +465,15 @@ def separating_family(n, r: Regime):
 def _independent_rows(rows_at, m):
     """Indices of the first m independent rows of a matrix.
 
-    ``rows_at(point)`` gives the matrix's rows at q, t = point as integers,
-    each row scaled by a nonzero constant.  These are the lexicographically
-    first basis, selected at the evaluation points tried in turn; an
-    invertible specialized submatrix certifies symbolic invertibility.
+    ``rows_at(point)`` gives the matrix's rows at q, t = point mod _P,
+    each row scaled by a constant that is nonzero mod _P.  These are the
+    lexicographically first basis, selected at the evaluation points tried
+    in turn; a specialized submatrix invertible mod _P is invertible over Q,
+    and so certifies symbolic invertibility.
     """
     for point in _POINTS:
         cols = [list(col) for col in zip(*rows_at(point))]
-        chosen = _eliminate(cols, operator.floordiv, abs)
+        chosen = _eliminate(cols, lambda v, _: v % _P, abs, 1)
         if len(chosen) >= m:
             return chosen[:m]
     raise ResourceLimit("specialization failed to certify %d rows" % m)

@@ -19,7 +19,7 @@ from oracles import oracle_block_partition
 
 
 def test_semisimple_generic_always():
-    for n in range(1, 8):
+    for n in range(0, 8):
         assert is_semisimple(n, GENERIC)
 
 
@@ -28,8 +28,9 @@ def test_semisimple_known_cases():
     assert is_semisimple(4, power_regime(1, 2))
     assert not is_semisimple(2, power_regime(1, -1))
     # t = q^-1 and t = -q are special: semisimple exactly at levels 1, 3, 5
+    # above the ground field at level 0
     for r in (power_regime(1, -1), power_regime(-1, 1)):
-        assert [n for n in range(1, 8) if is_semisimple(n, r)] == [1, 3, 5]
+        assert [n for n in range(0, 8) if is_semisimple(n, r)] == [0, 1, 3, 5]
     # t = -q^-1 keeps level 2 semisimple
     assert is_semisimple(2, power_regime(-1, -1))
     # t = q^3 = q^(2k-3) for k = 3 fails from level 3 on

@@ -82,7 +82,7 @@ def check_separation(n, r):
 
 
 def test_separation_condition_matches_semisimplicity_and_predicate():
-    for n in range(1, 11):
+    for n in range(0, 11):
         regimes = [GENERIC] + [power_regime(eps, N) for eps in (1, -1)
                                for N in range(-2 * n - 3, 2 * n + 4)]
         for r in regimes:
@@ -331,8 +331,8 @@ def greedy_rows_oracle(matrix, m):
 
 
 def rows_of(matrix):
-    """The integer rows of a LaurentQT matrix at each point, by the oracle."""
-    return lambda point: specialize(matrix, point)
+    """The rows of a LaurentQT matrix at each point mod p, by the oracle."""
+    return lambda point: [[x % center._P for x in row] for row in specialize(matrix, point)]
 
 
 def test_independent_rows_match_greedy_selection():
@@ -400,27 +400,17 @@ def test_probe_eliminates_exactly_only_below_the_distinct_columns(monkeypatch):
     # three distinct columns of rank 1: the integer rows decide
     assert probe([[one, q, one + q], [q, q * q, q + q * q]]) == 1
     assert calls == [2]
-    # the order search counts distinct (signature, e_n) pairs instead:
-    # (4, -q^1) has 5 among 8 columns, and the rank mod p reaches them at
-    # both orders searched, so no integer rows are built
-    point_rows, exact = center._point_rows, []
-
-    def counted(values, K, point=center._POINTS[0], p=None):
-        if p is None:
-            exact.append(K)
-        return point_rows(values, K, point, p)
-
-    monkeypatch.setattr(center, "_point_rows", counted)
-    monkeypatch.setattr(center, "matrix_rank", lambda matrix, probe: probe)
-    assert adaptive_matrix(4, power_regime(-1, 1))[1:] == (5, 8) and exact == []
-    # a probe mod p of 0 is still a lower bound: the integer rows then give
-    # every rank at the point, and the search ends as before
+    # a probe mod p of 0 is still a lower bound: Bareiss then gives every rank
     cases = [(3, GENERIC), (4, power_regime(-1, 1)), (4, power_regime(1, 0)),
              (5, power_regime(1, 2))]
-    want = [adaptive_matrix(n, r) for n, r in cases]
-    monkeypatch.setattr(center, "_rank_mod_p", lambda rows: 0)
-    assert [adaptive_matrix(n, r) for n, r in cases] == want
-    assert exact
+    want = [adaptive_matrix(n, r)[1] for n, r in cases]
+    with monkeypatch.context() as m:
+        m.setattr(center, "_rank_mod_p", lambda rows: 0)
+        assert [adaptive_matrix(n, r)[1] for n, r in cases] == want
+    # the order search probes mod p alone: (4, -q^1) has 5 distinct columns
+    # among 8, and the rank mod p reaches them at K = 8
+    monkeypatch.setattr(center, "matrix_rank", lambda matrix, probe: probe)
+    assert adaptive_matrix(4, power_regime(-1, 1))[1:] == (5, 8)
 
 
 def test_a_multiple_of_p_never_pivots():
@@ -455,17 +445,20 @@ def regime_grid(n):
 
 
 class PowersModP(dict):
-    """(i, j) -> q^i t^j mod p at the first evaluation point, filled lazily."""
+    """(i, j) -> q^i t^j mod p at an evaluation point, filled lazily."""
+
+    def __init__(self, point=center._POINTS[0]):
+        P = center._P
+        self.q, self.t = (x.numerator * pow(x.denominator, -1, P) % P for x in point)
 
     def __missing__(self, e):
         P = center._P
-        q, t = (x.numerator * pow(x.denominator, -1, P) % P for x in center._POINTS[0])
-        x = self[e] = pow(q, e[0], P) * pow(t, e[1], P) % P
+        x = self[e] = pow(self.q, e[0], P) * pow(self.t, e[1], P) % P
         return x
 
 
 def values_mod_p(matrix, powers):
-    """Each entry at the first evaluation point mod p, term by term."""
+    """Each entry at the point of powers mod p, term by term."""
     return [[sum(map(operator.mul, p.terms.values(), map(powers.__getitem__, p.terms)))
              % center._P for p in row] for row in matrix]
 
@@ -476,24 +469,10 @@ def rows_up_to(matrix, K):
     return [row for i, row in enumerate(matrix) if i % top <= K]
 
 
-def proportional(got, want):
-    """Whether each integer row of got is a nonzero multiple of want's."""
-    if len(got) != len(want):
-        return False
-    for g, w in zip(got, want):
-        lead = next((j for j, v in enumerate(w) if v), None)
-        if lead is None:
-            if any(g):
-                return False
-        elif not g[lead] or any(x * w[lead] != y * g[lead] for x, y in zip(g, w)):
-            return False
-    return True
-
-
 def test_probe_rows_and_order_match_the_exact_matrices(monkeypatch):
-    # the rows mod p are the exact matrix at the point, term by term; the
-    # integer rows are its rows at each point up to scaling; and the order
-    # search on them ends where the search on exact rows ended
+    # the rows mod p are the exact matrix at each point, term by term; their
+    # rank is the exact probe; and the order search on them ends where the
+    # search on exact rows ended
     build, built = center._build_matrix, {}
 
     def memo_build(values, K):
@@ -510,32 +489,29 @@ def test_probe_rows_and_order_match_the_exact_matrices(monkeypatch):
     monkeypatch.setattr(center, "matrix_rank", lambda matrix, probe: probe)
     cases = [(n, r) for n in range(1, 6) for r in regime_grid(n)]
     cases += [(6, GENERIC), (6, power_regime(1, 2)), (6, power_regime(-1, -3))]
-    powers = PowersModP()
+    powers = [PowersModP(point) for point in center._POINTS]
     for n, r in cases:
         built.clear()
         shapes = enumerate_lambda(n)
         values = [drunk_content_values(n, lp.shape, r) for lp in shapes]
         if n <= 5:
             exact = memo_build(values, 2 * n)
-            mod_p = values_mod_p(exact, powers)
-            assert center._point_rows(values, 2 * n, p=center._P) == mod_p, (n, r)
-            assert center._point_rows(values, n, p=center._P) == rows_up_to(mod_p, n), (n, r)
+            mod_p = values_mod_p(exact, powers[0])
+            assert center._point_rows(values, 2 * n) == mod_p, (n, r)
+            assert center._point_rows(values, n) == rows_up_to(mod_p, n), (n, r)
         if n <= 4:
             # equal (signature, e_n) pairs give equal columns at every order
             pairs = {(signature(n, lp.shape, r), center._product(vs))
                      for lp, vs in zip(shapes, values)}
             assert len(pairs) >= len(set(zip(*exact))), (n, r)
-            # specialization is row by row, so a lower order is a row subset
-            spec = [specialize(exact, point) for point in center._POINTS]
+            # evaluation is entry by entry, so a lower order is a row subset
+            at = [values_mod_p(exact, p) for p in powers]
             for K in sorted({1, n, 2 * n}):
-                for point, rows in zip(center._POINTS, spec):
-                    assert proportional(center._point_rows(values, K, point),
-                                        rows_up_to(rows, K)), (n, r, K, point)
-                # the exact probe of the order-K matrix, from its specialization
-                exact_rows = [list(row) for row in rows_up_to(spec[0], K)]
-                rank = len(center._eliminate(exact_rows, operator.floordiv, abs))
-                rows = center._point_rows(values, K)
-                assert len(center._eliminate(rows, operator.floordiv, abs)) == rank, (n, r, K)
+                for point, rows in zip(center._POINTS, at):
+                    assert center._point_rows(values, K, point) == rows_up_to(rows, K), \
+                        (n, r, K, point)
+                rank = center._rank_mod_p(center._point_rows(values, K))
+                assert rank == exact_probe(rows_up_to(exact, K)), (n, r, K)
         assert adaptive_matrix(n, r) == adaptive_loop(n, r), (n, r)
     # the row subsets are the matrices of the lower order
     for n, r in ((4, GENERIC), (5, power_regime(-1, 3))):
@@ -561,6 +537,11 @@ def test_content_values_are_derived_once(monkeypatch):
         calls.clear()
         adaptive_matrix(n, r)
         assert calls == {"drunk_content_values": shapes, "_build_matrix": 1}, (n, r)
+    # a separating family derives its representatives' values once, for
+    # both the order search and the row choice
+    calls.clear()
+    reps = separating_family(4, power_regime(1, 0))[0]
+    assert calls == {"drunk_content_values": len(reps), "_build_matrix": 1}
 
 
 @pytest.mark.parametrize("n, r, K, rank", [
