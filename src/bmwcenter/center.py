@@ -356,8 +356,9 @@ def _point_rows(values, K, point=_POINTS[0]):
             for k in range(1, K + 1):
                 w[k] = (w[k] + up * w[k - 1]) % _P
         e = at(*_product(vs))
-        columns.append(w + [e * x for x in w] + [pow(e, -1, _P) * x for x in w])
-    return [[x % _P for x in row] for row in zip(*columns)]
+        inv = pow(e, -1, _P)
+        columns.append(w + [e * x % _P for x in w] + [inv * x % _P for x in w])
+    return [list(row) for row in zip(*columns)]
 
 
 def adaptive_matrix(n, r: Regime, shapes=None, order=None):

@@ -447,7 +447,7 @@ def regime_grid(n):
 class PowersModP(dict):
     """(i, j) -> q^i t^j mod p at an evaluation point, filled lazily."""
 
-    def __init__(self, point=center._POINTS[0]):
+    def __init__(self, point):
         P = center._P
         self.q, self.t = (x.numerator * pow(x.denominator, -1, P) % P for x in point)
 
