@@ -85,13 +85,18 @@ def cmd_lambda(args):
 
 
 def cmd_paths(args):
-    paths = tableaux.enumerate_paths(args.n, args.shape)
-    if args.format == "json":
-        _emit([[*map(text_of_partition, p)] for p in paths])
-    else:
-        lines = [" -> ".join(map(text_of_partition, p)) for p in paths]
-        lines.append("total: %d\n" % len(paths))
-        sys.stdout.write("\n".join(lines))
+    # each head and tail of path_halves is rendered once, and a path's line
+    # is its head's text then its tail's; JSON is json.dumps(paths, indent=2)
+    heads, tails = tableaux.path_halves(args.n, args.shape)
+    js = args.format == "json"
+    name = (lambda s: _ESCAPE(text_of_partition(s))) if js else text_of_partition
+    sep, first, last = (",\n    ", "[\n    ", "\n  ]") if js else (" -> ", "", "")
+    ends = {m: ["".join([sep + name(s) for s in t]) + last for t in ts]
+            for m, ts in tails.items()}
+    lines = [head + end for h in heads for head in [first + sep.join(map(name, h))]
+             for end in ends[h[-1]]]
+    sys.stdout.write("[\n  " + ",\n  ".join(lines) + "\n]\n" if js else
+                     "\n".join(lines) + "\ntotal: %d\n" % len(lines))
     return 0
 
 
@@ -332,7 +337,8 @@ def cmd_selfcheck(args):
     if n <= 4 and not wheelpoly.newton_check(n, min(2 * n, 8)):
         failures.append("newton identities failed at level %d" % n)
     for lam, count in counts.items():
-        if count != len(tableaux.enumerate_paths(n, lam)):
+        heads, tails = tableaux.path_halves(n, lam)
+        if count != sum(len(tails[h[-1]]) for h in heads):
             failures.append("path count mismatch at %s" % (lam,))
     if args.format == "json":
         _emit({"n": n, "regime": str(args.regime), "ok": not failures,

@@ -93,17 +93,19 @@ def partition_from_text(text: str) -> Partition:
     return Partition(spec.split(","))
 
 
-def _parts_rec(rem, cap, acc):
-    if rem == 0:
-        # acc is positive and weakly decreasing by construction
-        yield tuple.__new__(Partition, acc)
-        return
-    for first in range(min(rem, cap), 0, -1):
-        yield from _parts_rec(rem - first, first, acc + (first,))
-
-
 def partitions_of(m: int):
-    """All partitions of m, parts largest-first, lexicographically descending."""
-    if m >= 0:
-        yield from _parts_rec(m, m, ())
-
+    """All partitions of m, parts largest-first, lexicographically descending:
+    each next one drops the trailing 1s, lowers the last part x by one and
+    fills the boxes freed with parts x - 1 and a remainder."""
+    if m < 0:
+        return
+    parts = [m] if m else []
+    while True:
+        yield tuple.__new__(Partition, parts)  # positive, weakly decreasing
+        ones = parts.count(1)
+        del parts[len(parts) - ones:]
+        if not parts:
+            return
+        x = parts.pop() - 1
+        q, r = divmod(x + 1 + ones, x)
+        parts += [x] * q + ([r] if r else [])

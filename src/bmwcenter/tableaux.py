@@ -123,14 +123,12 @@ def _spread(counts):
     return nxt
 
 
-def enumerate_paths(n, lam: Partition):
-    """All updown paths of length n from the empty partition to lam.
-
-    In lexicographic box order (each step in the order of ``children``),
-    so the output order is deterministic.  Built meet-in-the-middle over
-    the branching graph pruned to the shapes that can still reach lam, so
-    no walk enters a dead end.  Raises ``ResourceLimit`` above
-    ``MAX_PATHS`` paths, before any path is built.
+def path_halves(n, lam: Partition):
+    """The updown paths of length n to lam, as (heads, tails): the paths
+    are h + t for h in heads for t in tails[h[-1]], where the heads are
+    (T_0, ..., T_mid), mid = n // 2, and tails maps each shape at level mid
+    to its completions (T_mid+1, ..., T_n).  Raises ``ResourceLimit`` above
+    ``MAX_PATHS`` paths, before any head or tail is built.
     """
     labeled(n, lam)  # validates the (shape, level) pair
     # The recursion of path_counts, run backwards from lam: levels[k] maps
@@ -143,8 +141,6 @@ def enumerate_paths(n, lam: Partition):
     for k in range(n - 1, -1, -1):
         levels[k] = {m: c for m, c in _spread(levels[k + 1]).items() if m.size <= k}
         _refuse_above_cap(sum(levels[k].values()), what)
-    # Every path is a head (T_0..T_mid) and a tail (T_mid+1..T_n); tails
-    # maps each middle shape to its tails, heads are extended forward.
     mid = n // 2
     tails = {lam: [()]}
     for k in range(n - 1, mid - 1, -1):
@@ -153,6 +149,17 @@ def enumerate_paths(n, lam: Partition):
     heads = [(EMPTY,)]
     for k in range(1, mid + 1):
         heads = [(*h, m) for h in heads for m in children(h[-1]) if m in levels[k]]
+    return heads, tails
+
+
+def enumerate_paths(n, lam: Partition):
+    """All updown paths of length n from the empty partition to lam, in
+    lexicographic box order (each step in the order of ``children``): the
+    heads and tails of ``path_halves`` joined, so meet-in-the-middle over
+    the branching graph pruned to the shapes that can still reach lam.
+    Raises ``ResourceLimit`` as ``path_halves`` does, before any path.
+    """
+    heads, tails = path_halves(n, lam)
     new = UpDownTableau._trusted
     return [new(h + t) for h in heads for t in tails[h[-1]]]
 

@@ -1,14 +1,15 @@
 """Reference checks of the paper's properties, kept beside the tests.
 
 Nothing in ``bmwcenter`` calls these: they are slow, direct restatements
-of definitions (box geometry, dominance, the Rui-Si order, wheel
-membership, the Newton identities through the inverse series, the
-reduction of a content-value multiset to its signature, multiplicativity
-of W, the separation condition on the branching graph, block
-classification over every pair of Lambda_n, the idempotents'
-interpolation product and their orthogonality, LaurentQT matrices at a
-point, as integers or mod p, and the order search of evaluation matrices
-on exact rows) that the tests hold the library's fast paths against.
+of definitions (partitions by recursion on the first part, box geometry,
+dominance, the Rui-Si order, wheel membership, the Newton identities
+through the inverse series, the reduction of a content-value multiset to
+its signature, multiplicativity of W, the separation condition on the
+branching graph, block classification over every pair of Lambda_n, the
+idempotents' interpolation product and their orthogonality, LaurentQT
+matrices at a point, as integers or mod p, and the order search of
+evaluation matrices on exact rows) that the tests hold the library's
+fast paths against.
 """
 
 import operator
@@ -30,6 +31,16 @@ from bmwcenter.wheelpoly import MultiLaurent, power_sum, wheel_coefficients
 
 # ---------------------------------------------------------------------------
 # Young-diagram geometry
+
+
+def partitions_desc(m, cap=None, acc=()):
+    """Partitions of m into parts at most cap, lexicographically descending:
+    every first part, largest first, then the partitions of the rest."""
+    cap = m if cap is None else cap
+    if m == 0:
+        yield acc
+    for first in range(min(m, cap), 0, -1):
+        yield from partitions_desc(m - first, first, acc + (first,))
 
 
 def row(lam, i):

@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from bmwcenter import cli
+from bmwcenter import cli, tableaux
 from bmwcenter.cli import run
-from bmwcenter.tableaux import enumerate_lambda
+from bmwcenter.partitions import text_of_partition
+from bmwcenter.tableaux import enumerate_lambda, enumerate_paths
 
 
 def invoke(capsys, *argv):
@@ -129,6 +130,39 @@ def test_selfcheck_json(capsys):
     assert code == 0
     assert json.loads(out) == {"n": 3, "regime": "q^2", "ok": True,
                                "failures": []}
+
+
+def test_paths_print_as_the_rendered_path_lists(capsys):
+    # the halves rendered once each against every path rendered in full:
+    # the step-by-step text and json.dumps of the path lists
+    for n in range(7):
+        for lp in enumerate_lambda(n):
+            shape = text_of_partition(lp.shape)
+            paths = [[*map(text_of_partition, p)] for p in enumerate_paths(n, lp.shape)]
+            code, out, _ = invoke(capsys, "paths", "--n", str(n), "--shape", shape)
+            assert code == 0 and out == "".join(
+                [" -> ".join(p) + "\n" for p in paths] + ["total: %d\n" % len(paths)])
+            code, out, _ = invoke(capsys, "paths", "--n", str(n), "--shape", shape,
+                                  "--format", "json")
+            assert code == 0 and out == json.dumps(paths, indent=2) + "\n"
+
+
+def test_selfcheck_path_count_can_fail(capsys, monkeypatch):
+    # one tail of one shape dropped from the halves: the count selfcheck
+    # takes from them no longer matches path_counts
+    halves = tableaux.path_halves
+
+    def short(n, lam):
+        heads, tails = halves(n, lam)
+        if lam == (2, 1):
+            tails[heads[0][-1]].pop()
+        return heads, tails
+
+    monkeypatch.setattr(tableaux, "path_halves", short)
+    code, out, _ = invoke(capsys, "selfcheck", "--n", "5")
+    assert code == 1
+    assert out == ("FAIL: path count mismatch at 2,1\n"
+                   "selfcheck level 5: 1 failure(s)\n")
 
 
 @pytest.mark.parametrize("argv", [

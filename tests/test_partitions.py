@@ -11,8 +11,8 @@ from bmwcenter.partitions import (EMPTY, Partition, diagonal_datum,
 from bmwcenter.tableaux import children
 from oracles import (DOMINATED, DOMINATES, EQUAL, INCOMPARABLE, boundary_boxes,
                      children_by_boxes, conjugate, dominance,
-                     partition_of_diagonals, row, with_box_added,
-                     with_box_removed)
+                     partition_of_diagonals, partitions_desc, row,
+                     with_box_added, with_box_removed)
 
 # number of partitions of 0..12
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -52,6 +52,15 @@ def test_contains():
 def test_partition_counts():
     for m, expected in enumerate(PARTITION_NUMBERS):
         assert len(list(partitions_of(m))) == expected
+
+
+def test_partitions_match_the_recursion_in_order():
+    # the iterative generator against the nested-generator recursion it
+    # replaced; neither yields anything for m < 0
+    for m in range(-2, 21):
+        got = list(partitions_of(m))
+        assert got == list(partitions_desc(m)) and (got != []) == (m >= 0)
+        assert all(type(lam) is Partition for lam in got)
 
 
 def test_partitions_are_distinct_and_valid():

@@ -12,7 +12,7 @@ from bmwcenter.tableaux import (UpDownTableau, branching_graph,
                                 branching_graph_dot, canonical_path,
                                 children, content_sequence, drunk_path,
                                 enumerate_lambda, enumerate_paths, labeled,
-                                path_counts)
+                                path_counts, path_halves)
 from oracles import children_by_boxes, ruisi_greater, truncated
 
 LAMBDA_SIZES = {1: 1, 2: 3, 3: 4, 4: 8, 5: 11, 6: 19}
@@ -190,6 +190,28 @@ def test_enumerate_paths_matches_oracle_in_order():
         assert all(type(p) is UpDownTableau for p in got)
 
 
+def test_path_halves_join_to_the_paths_in_order():
+    for n in range(8):
+        for lp in enumerate_lambda(n):
+            heads, tails = path_halves(n, lp.shape)
+            mid = n // 2
+            assert all(len(h) == mid + 1 and h[0] == EMPTY for h in heads)
+            assert all(len(t) == n - mid for ts in tails.values() for t in ts)
+            joined = [h + t for h in heads for t in tails[h[-1]]]
+            assert joined == enumerate_paths(n, lp.shape) == oracle_paths(n, lp.shape)
+    # at n = 0 the one path is a head alone, with one empty tail
+    assert path_halves(0, EMPTY) == ([(EMPTY,)], {EMPTY: [()]})
+
+
+def test_halves_count_the_paths():
+    # the count selfcheck takes from the halves, against the paths' number
+    for n in range(9):
+        for lp in enumerate_lambda(n):
+            heads, tails = path_halves(n, lp.shape)
+            count = sum(len(tails[h[-1]]) for h in heads)
+            assert count == len(enumerate_paths(n, lp.shape))
+
+
 def test_restriction_shapes_are_truncations():
     for n in range(1, 8):
         for lp in enumerate_lambda(n):
@@ -259,6 +281,11 @@ def test_path_cap_refuses_before_any_head_or_tail(monkeypatch):
     monkeypatch.setattr(tableaux, "children", lambda s: asked.append(s) or kids(s))
     with pytest.raises(ResourceLimit, match="level 16"):
         enumerate_paths(16, EMPTY)
+    assert len(spread_in) == 13 and len(asked) == sum(spread_in)
+    spread_in.clear()
+    asked.clear()
+    with pytest.raises(ResourceLimit, match="level 16"):
+        path_halves(16, EMPTY)
     assert len(spread_in) == 13 and len(asked) == sum(spread_in)
 
 
