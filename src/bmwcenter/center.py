@@ -1,12 +1,14 @@
 """Separation of Lambda_n by wheel signatures.
 
-Provides the signature class decomposition, the closed-form classification
-predicate for when the wheel evaluations separate all of Lambda_n, exact
-evaluation matrices of the elementary wheel family with fraction-free rank,
-and constructive unitriangular separating families.  Evaluation is a ring
-map, so every evaluation at a point (the ranks that fix the order K, and
-the choice of independent rows) runs the W series on the content values
-there, mod p; the exact matrix is built once.
+Provides the signature class decomposition (keyed by each shape's box
+tally through ``signature_key``, so no signature is built), the
+closed-form classification predicate for when the wheel evaluations
+separate all of Lambda_n, exact evaluation matrices of the elementary
+wheel family with fraction-free rank, and constructive unitriangular
+separating families.  Evaluation is a ring map, so every evaluation at a
+point (the ranks that fix the order K, and the choice of independent
+rows) runs the W series on the content values there, mod p; the exact
+matrix is built once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
-from .contentfn import drunk_content_values, signature
+# signature stays importable from here, beside the key that groups by it
+from .contentfn import drunk_content_values, signature, signature_key  # noqa: F401
 from .errors import ResourceLimit, ZeroDenominator
 from .scalars import (ContentValue, LaurentQT, Regime, _add_shifted, exact_ratio,
                       expand_W_series)
@@ -39,10 +42,11 @@ class SeparationReport:
 
 
 def separation_classes(n, r: Regime) -> SeparationReport:
-    """Partition Lambda_n by equality of reduced wheel signatures."""
+    """Partition Lambda_n by equality of reduced wheel signatures, read as
+    ``signature_key`` off each shape's box tally."""
     groups = {}
     for lp in enumerate_lambda(n):
-        groups.setdefault(signature(n, lp.shape, r), []).append(lp)
+        groups.setdefault(signature_key(lp.shape, r), []).append(lp)
     # Lambda_n is sorted, so each class and the class order follow it
     classes = list(groups.values())
     witnesses = [pair for c in classes for pair in combinations(c, 2)]

@@ -8,7 +8,10 @@ because q is never a root of unity.  The defect's f contents t and t^-1
 are such a pair, so ``signature`` reads e straight off the boxes of lambda:
 each box on diagonal d, of value v = t q^2d, adds -1 at v and +1 at v^-1
 unless v is self-inverse.  The tests hold it against the reduction of the
-full value multiset (``reduce_values`` in tests/oracles.py).
+full value multiset (``reduce_values`` in tests/oracles.py).  Grouping
+shapes needs only equality of signatures, so ``signature_key`` reads a
+key of plain integer pairs off the same box tally, with no
+``ContentValue`` or ``WheelSignature`` built.
 """
 
 from __future__ import annotations
@@ -92,21 +95,28 @@ def drunk_content_values(n, lam: Partition, r: Regime):
     return out
 
 
+def _box_tally(lam: Partition, N):
+    """Boxes of lam tallied by k = N + 2d, d the diagonal: row i (from 0)
+    of length a covers k = N - 2i, ..., N + 2(a - i - 1) in steps of 2."""
+    tally = {}
+    get = tally.get
+    for i, a in enumerate(lam):
+        for k in range(N - 2 * i, N + 2 * (a - i), 2):
+            tally[k] = get(k, 0) + 1
+    return tally
+
+
 def signature(n, lam: Partition, r: Regime) -> WheelSignature:
     """Reduced signature of W(lam, t) at level n, from the box tally.
 
     With t = (sign, x, N) a box on diagonal d has value t q^2d, that is
-    (sign, x, k) with k = N + 2d; row i (from 0) of length a covers
-    k = N - 2i, ..., N + 2(a - i - 1) in steps of 2.  Its inverse is
-    (sign, -x, -k), which is a box value only when x = 0 (t = +-q^N) and
-    -k is tallied, and is the value itself when k = 0 there.
+    (sign, x, k) with k = N + 2d.  Its inverse is (sign, -x, -k), which is
+    a box value only when x = 0 (t = +-q^N) and -k is tallied, and is the
+    value itself when k = 0 there.
     """
     labeled(n, lam)  # validates the (shape, level) pair
     sign, x, N = r.t
-    tally = {}
-    for i, a in enumerate(lam):
-        for k in range(N - 2 * i, N + 2 * (a - i), 2):
-            tally[k] = tally.get(k, 0) + 1
+    tally = _box_tally(lam, N)
     exps = {}
     for k, m in tally.items():
         e = (0 if x else tally.get(-k, 0)) - m
@@ -114,6 +124,24 @@ def signature(n, lam: Partition, r: Regime) -> WheelSignature:
             exps[ContentValue(sign, x, k)] = e
             exps[ContentValue(sign, -x, -k)] = -e
     return WheelSignature(exps)
+
+
+def signature_key(lam: Partition, r: Regime):
+    """Plain-integer key of lam's signature in regime r, unvalidated: two
+    shapes share a key exactly when they share a signature.
+
+    Generically (x != 0) no box value is the inverse of another, so the
+    signature is the tally itself.  At t = +-q^N, e(k) = tally(-k) -
+    tally(k) is odd in k, so the pairs (|k|, e(|k|)) with e != 0 fix it;
+    a k tallied together with -k yields its pair twice, hence the set.
+    """
+    _, x, N = r.t
+    tally = _box_tally(lam, N)
+    if x:
+        return tuple(sorted(tally.items()))
+    get = tally.get
+    return tuple(sorted({(k, get(-k, 0) - m) if k > 0 else (-k, m - get(-k, 0))
+                     for k, m in tally.items() if m != get(-k, 0)}))
 
 
 def pairing_set(n, lam: Partition, r: Regime):

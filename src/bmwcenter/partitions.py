@@ -63,7 +63,8 @@ def diagonal_datum(lam: Partition) -> Counter:
 
 def intersection(lam: Partition, mu: Partition) -> Partition:
     """Row-wise minimum of the two diagrams."""
-    return Partition(min(a, b) for a, b in zip(lam, mu))
+    # minima of two weakly decreasing rows decrease weakly and stay positive
+    return tuple.__new__(Partition, [min(a, b) for a, b in zip(lam, mu)])
 
 
 def skew_datum(lam: Partition, mu: Partition) -> Counter:
@@ -71,8 +72,10 @@ def skew_datum(lam: Partition, mu: Partition) -> Counter:
     if not lam.contains(mu):
         raise ContainmentError("%s is not contained in %s" % (mu, lam))
     counts = Counter()
+    get = counts.get
     for i, (a, m) in enumerate(zip_longest(lam, mu, fillvalue=0), start=1):
-        counts.update(range(m + 1 - i, a + 1 - i))  # boxes m < j <= a of row i
+        for d in range(m + 1 - i, a + 1 - i):  # boxes m < j <= a of row i
+            counts[d] = get(d, 0) + 1
     return counts
 
 

@@ -83,12 +83,14 @@ def content_sequence(tab: UpDownTableau):
 
 
 def enumerate_lambda(n):
-    """All labeled partitions at level n, canonically sorted."""
+    """All labeled partitions at level n, canonically sorted: by defect,
+    then by shape, so each defect's partitions, which ``partitions_of``
+    yields in descending order, come reversed."""
     out = []
     for f in range(n // 2 + 1):
-        for lam in partitions_of(n - 2 * f):
-            out.append(LabeledPartition(lam, f, n))
-    return sorted(out, key=LabeledPartition.sort_key)
+        shapes = list(partitions_of(n - 2 * f))
+        out += [LabeledPartition(lam, f, n) for lam in reversed(shapes)]
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -4,12 +4,12 @@ Nothing in ``bmwcenter`` calls these: they are slow, direct restatements
 of definitions (partitions by recursion on the first part, box geometry,
 dominance, the Rui-Si order, wheel membership, the Newton identities
 through the inverse series, the reduction of a content-value multiset to
-its signature, multiplicativity of W, the separation condition on the
-branching graph, block classification over every pair of Lambda_n, the
-idempotents' interpolation product and their orthogonality, LaurentQT
-matrices at a point, as integers or mod p, and the order search of
-evaluation matrices on exact rows) that the tests hold the library's
-fast paths against.
+its signature, multiplicativity of W, signature classes grouped by the
+signatures themselves, the separation condition on the branching graph,
+block classification over every pair of Lambda_n, the idempotents'
+interpolation product and their orthogonality, LaurentQT matrices at a
+point, as integers or mod p, and the order search of evaluation matrices
+on exact rows) that the tests hold the library's fast paths against.
 """
 
 import operator
@@ -208,6 +208,15 @@ def multiplicativity_check(lam, mu, r):
     lhs = signature(lam.size, lam, r)
     rhs = merge(signature(mu.size, mu, r), skew_signature(lam, mu, r))
     return lhs == rhs
+
+
+def oracle_separation_classes(n, r):
+    """``separation_classes`` grouping Lambda_n by each shape's
+    ``WheelSignature`` itself, in Lambda_n's order."""
+    groups = {}
+    for lp in enumerate_lambda(n):
+        groups.setdefault(signature(n, lp.shape, r), []).append(lp)
+    return list(groups.values())
 
 
 def separated(n, r):

@@ -39,6 +39,17 @@ def test_generic_separation_small():
         assert rep.witnesses == []
 
 
+def test_separation_classes_match_the_signature_grouping():
+    # classes keyed by the box tally against classes grouped by the
+    # signatures themselves, in order; generic and every t = +-q^N with
+    # |N| <= 2n + 3
+    for n in range(10):
+        for r in [GENERIC] + [power_regime(eps, N) for eps in (1, -1)
+                              for N in range(-2 * n - 3, 2 * n + 4)]:
+            assert separation_classes(n, r).classes == \
+                oracles.oracle_separation_classes(n, r), (n, str(r))
+
+
 def test_separation_collision_reported():
     rep = separation_classes(2, power_regime(1, -1))
     assert not rep.separates

@@ -2,11 +2,13 @@
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from bmwcenter.contentfn import (drunk_content_values, drunk_contents, pairing_set,
-                                 series_consistency, signature, signature_json)
+from bmwcenter.contentfn import (_box_tally, drunk_content_values, drunk_contents,
+                                 pairing_set, series_consistency, signature,
+                                 signature_json, signature_key)
 from bmwcenter.errors import RegimeMismatch, ShapeLevelMismatch
 from bmwcenter.partitions import EMPTY, Partition, diagonal_datum
 from bmwcenter.scalars import ADD, Content, ContentValue, GENERIC, power_regime
@@ -68,6 +70,55 @@ def test_signature_closed_form_matches_reduced_values():
                 assert hash(closed) == hash(reduced)
                 assert str(closed) == str(reduced)
                 assert closed.sorted_entries() == reduced.sorted_entries()
+
+
+def key_mismatches(key, top=8):
+    """Pairs of Lambda_n, n <= top, generic and at every t = +-q^N with
+    |N| <= 2n + 3, whose keys are equal while their signatures differ, or
+    the other way round; and the number of pairs compared."""
+    out, pairs = [], 0
+    for n in range(top + 1):
+        lps = enumerate_lambda(n)
+        for r in [GENERIC] + [power_regime(eps, N) for eps in (1, -1)
+                              for N in range(-2 * n - 3, 2 * n + 4)]:
+            keys = [key(lp.shape, r) for lp in lps]
+            sigs = [signature(n, lp.shape, r) for lp in lps]
+            for i, j in combinations(range(len(lps)), 2):
+                pairs += 1
+                if (keys[i] == keys[j]) != (sigs[i] == sigs[j]):
+                    out.append((n, str(r), lps[i], lps[j]))
+    return out, pairs
+
+
+def test_signature_key_equality_is_signature_equality():
+    assert key_mismatches(signature_key) == ([], 103296)
+
+
+def _key_as_list(lam, r):
+    # the power-regime pairs kept as a list, not a set: a k tallied
+    # together with -k yields its pair twice
+    tally = _box_tally(lam, r.t[2])
+    if r.t[1]:
+        return tuple(sorted(tally.items()))
+    get = tally.get
+    return tuple(sorted([(k, get(-k, 0) - m) if k > 0 else (-k, m - get(-k, 0))
+                         for k, m in tally.items() if m != get(-k, 0)]))
+
+
+def _key_without_negative_k(lam, r):
+    # the power-regime pairs of the tallied k > 0 only: a diagonal whose
+    # mate -k alone is tallied goes missing
+    tally = _box_tally(lam, r.t[2])
+    if r.t[1]:
+        return tuple(sorted(tally.items()))
+    return tuple(sorted((k, tally.get(-k, 0) - m) for k, m in tally.items()
+                        if k > 0 and m != tally.get(-k, 0)))
+
+
+@pytest.mark.parametrize("mutant", [_key_as_list, _key_without_negative_k])
+def test_signature_key_mutants_are_caught(mutant):
+    mismatches, _ = key_mismatches(mutant)
+    assert mismatches
 
 
 def test_signature_antisymmetry():

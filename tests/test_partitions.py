@@ -1,6 +1,7 @@
 """Young diagram geometry against brute-force oracles."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -98,11 +99,21 @@ def test_conjugate_involution_and_diagonal_flip():
                 assert dd[d] == dc[-d]
 
 
+SMALL = [lam for m in range(9) for lam in partitions_of(m)]
+
+
 def test_intersection_is_rowwise_min():
     a, b = Partition((4, 2, 1)), Partition((3, 3))
     cap = intersection(a, b)
     assert cap == Partition((3, 2))
     assert a.contains(cap) and b.contains(cap)
+    # the row-wise minima are built as a trusted Partition: every pair of
+    # sizes <= 8 against the validating constructor
+    for lam in SMALL:
+        for mu in SMALL:
+            cap = intersection(lam, mu)
+            assert type(cap) is Partition
+            assert cap == Partition(min(a, b) for a, b in zip(lam, mu)), (lam, mu)
 
 
 def test_skew_datum_counts_difference():
@@ -111,6 +122,24 @@ def test_skew_datum_counts_difference():
     assert sd.total() == 4
     assert sorted(sd.items()) == [(-2, 1), (-1, 2), (0, 1)]
     assert sd[-1] == 2 and sd[3] == 0
+
+
+def test_skew_datum_matches_a_range_tally():
+    # every contained pair of sizes <= 8 against Counter.update over the
+    # diagonals of each row's skew boxes
+    pairs = 0
+    for lam in SMALL:
+        for mu in SMALL:
+            if not lam.contains(mu):
+                continue
+            expected = Counter()
+            for i, a in enumerate(lam, start=1):
+                expected.update(range(row(mu, i) + 1 - i, a + 1 - i))
+            sd = skew_datum(lam, mu)
+            assert type(sd) is Counter
+            assert sd == expected and +sd == sd, (lam, mu)
+            pairs += 1
+    assert pairs == 862
 
 
 def test_skew_datum_requires_containment():

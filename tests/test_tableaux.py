@@ -8,7 +8,7 @@ from bmwcenter import tableaux
 from bmwcenter.errors import ResourceLimit, ShapeLevelMismatch
 from bmwcenter.partitions import EMPTY, Partition, partitions_of
 from bmwcenter.scalars import ADD, GENERIC, REMOVE
-from bmwcenter.tableaux import (UpDownTableau, branching_graph,
+from bmwcenter.tableaux import (LabeledPartition, UpDownTableau, branching_graph,
                                 branching_graph_dot, canonical_path,
                                 children, content_sequence, drunk_path,
                                 enumerate_lambda, enumerate_paths, labeled,
@@ -36,11 +36,12 @@ def test_labeled_validates_parity():
 
 def test_enumerate_lambda_sizes_and_order():
     for n, size in LAMBDA_SIZES.items():
+        assert len(enumerate_lambda(n)) == size
+    # each defect's shapes come from partitions_of reversed, not re-sorted
+    for n in range(17):
         lps = enumerate_lambda(n)
-        assert len(lps) == size
-        keys = [lp.sort_key() for lp in lps]
-        assert keys == sorted(keys)
-        assert all(lp.level == n for lp in lps)
+        assert lps == sorted(lps, key=LabeledPartition.sort_key), n
+        assert all(type(lp) is LabeledPartition and lp.level == n for lp in lps)
 
 
 def test_path_validation():
